@@ -65,7 +65,6 @@ core::ScavengeRecord Heap::collectAtBoundary(AllocClock Boundary) {
   WatchdogSerial = false;
   EffectiveBudgetBytes = 0;
   uint64_t MemBefore = ResidentBytes;
-  Demographics.beginScavenge(Boundary);
 
   ScavengeWork Work = Config.Collector == CollectorKind::MarkSweep
                           ? runMarkSweep(Boundary)
@@ -287,7 +286,6 @@ bool Heap::markThreatened(Object *O, AllocClock Boundary,
   O->setMarked();
   Work.TracedBytes += O->grossBytes();
   LastStats.ObjectsTraced += 1;
-  Demographics.recordSurvivor(O->birth(), O->grossBytes());
   Gray.push_back(O);
   return true;
 }
@@ -358,7 +356,6 @@ void Heap::scanMarkSweepObject(Object *O, AllocClock Boundary,
     assert(Child->isAlive() && "tracing through a reclaimed object");
     Lane.TracedBytes += Child->grossBytes();
     Lane.ObjectsTraced += 1;
-    Lane.Survivors.push_back({Child->birth(), Child->grossBytes()});
     Lane.addChild(Child);
   }
 }
@@ -371,17 +368,11 @@ void Heap::drainTraceLanes(TraceLaneSet &Lanes, std::vector<Object *> &Gray,
     LastStats.ObjectsTraced += Lane.ObjectsTraced;
     LastStats.ObjectsMoved += Lane.ObjectsMoved;
     LastStats.LaneOverflowEvents += Lane.OverflowEvents;
-    // recordSurvivor is a commutative sum per epoch, so replaying the
-    // lanes' buffers in lane order yields the same table as any serial
-    // marking order.
-    for (const auto &[Birth, Bytes] : Lane.Survivors)
-      Demographics.recordSurvivor(Birth, Bytes);
     Gray.insert(Gray.end(), Lane.Children.begin(), Lane.Children.end());
     Lane.TracedBytes = 0;
     Lane.ObjectsTraced = 0;
     Lane.ObjectsMoved = 0;
     Lane.OverflowEvents = 0;
-    Lane.Survivors.clear();
     Lane.Children.clear();
   }
   std::vector<Object *> &Overflow = Lanes.overflow();
@@ -510,11 +501,13 @@ void Heap::finishMarkSweepCycle(AllocClock Boundary, AllocClock BlackClock,
 
   // --- Sweep phase ------------------------------------------------------
   // Compact the threatened suffix of the birth-ordered allocation list in
-  // place; the immune prefix is untouched.
+  // place; the immune prefix is untouched. The birth-ordered walk also
+  // feeds the survivor table (allocate-black objects are not survivors).
   {
     profiling::ProfilePhase Phase(&Profiler, profiling::phase::Sweep);
     size_t Begin = firstBornAfter(Boundary);
     size_t Out = Begin;
+    Demographics.beginScavenge(Boundary);
     for (size_t I = Begin, E = Objects.size(); I != E; ++I) {
       Object *O = Objects[I];
       if (O->birth() > BlackClock) {
@@ -524,6 +517,7 @@ void Heap::finishMarkSweepCycle(AllocClock Boundary, AllocClock BlackClock,
       }
       if (O->isMarked()) {
         O->clearMarked();
+        Demographics.recordSurvivor(O->birth(), O->grossBytes());
         Objects[Out++] = O;
         continue;
       }
@@ -578,16 +572,13 @@ void Heap::beginIncrementalScavenge(AllocClock Boundary) {
   Inc.Boundary = Boundary;
   Inc.BlackClock = Clock;
   Inc.RebuildRemSet = RebuildRemSet;
-  // Rollback state for abortIncrementalScavenge: the pre-cycle stats and
-  // survivor-table estimates, captured before beginScavenge destructively
-  // zeroes the threatened epochs.
+  // Rollback state for abortIncrementalScavenge: the pre-cycle stats. The
+  // survivor table needs none — only the sweep touches it.
   Inc.PrevStats = LastStats;
-  Inc.DemoSnapshot = Demographics.liveEstimatesSnapshot();
   LastStats = CollectionStats();
   WatchdogConsecutive = 0;
   WatchdogSerial = false;
   EffectiveBudgetBytes = 0;
-  Demographics.beginScavenge(Boundary);
   syncIncMirror();
   FlightRec.record(FlightEventKind::CycleBegin, Clock, Boundary);
   seedMarkSweepRoots(Boundary, Inc.BlackClock, Inc.Gray, Inc.Work);
@@ -702,11 +693,8 @@ void Heap::abortIncrementalCycle(const char *Why) {
     O->clearTraceFlags();
   }
 
-  // Roll back everything the cycle touched: the survivor-table estimates
-  // (beginScavenge zeroed the threatened epochs, recordSurvivor
-  // accumulated into them) and the per-collection stats. EpochStarts and
-  // the history only change in endScavenge, which never ran.
-  Demographics.restoreLiveEstimates(std::move(Inc.DemoSnapshot));
+  // Roll back the per-collection stats; the survivor table and history
+  // change only in the sweep and completeCollection, never reached here.
   LastStats = Inc.PrevStats;
   Inc = IncrementalState();
   syncIncMirror();

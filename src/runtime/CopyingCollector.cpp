@@ -90,7 +90,6 @@ Heap::ScavengeWork Heap::runCopying(AllocClock Boundary) {
       O->setFlagAtomic(Object::FlagMarked);
       Lane.TracedBytes += O->grossBytes();
       Lane.ObjectsTraced += 1;
-      Lane.Survivors.push_back({O->birth(), O->grossBytes()});
       Lane.addChild(O);
       Slot.store(O, std::memory_order_release);
       return O;
@@ -116,7 +115,6 @@ Heap::ScavengeWork Heap::runCopying(AllocClock Boundary) {
     Lane.TracedBytes += O->grossBytes();
     Lane.ObjectsTraced += 1;
     Lane.ObjectsMoved += 1;
-    Lane.Survivors.push_back({O->birth(), O->grossBytes()});
     Lane.addChild(Copy);
     Slot.store(Copy, std::memory_order_release);
     return Copy;
@@ -251,12 +249,17 @@ Heap::ScavengeWork Heap::runCopying(AllocClock Boundary) {
   // Substitute survivors into the birth-ordered allocation list (births
   // travel with copies, so in-place substitution preserves the order) and
   // release every non-pinned original in the threatened region at once.
+  // The birth-ordered walk also feeds the survivor table, reading each
+  // survivor rather than its (released) original.
   {
     profiling::ProfilePhase Phase(&Profiler, profiling::phase::Sweep);
     size_t Out = Begin;
+    Demographics.beginScavenge(Boundary);
     for (size_t I = Begin, E = Objects.size(); I != E; ++I) {
       Object *O = Objects[I];
       Object *Survivor = Forward[I - Begin].load(std::memory_order_relaxed);
+      if (Survivor)
+        Demographics.recordSurvivor(Survivor->birth(), Survivor->grossBytes());
       if (Survivor == O) { // Pinned survivor, traced in place.
         O->clearTraceFlags();
         Objects[Out++] = O;

@@ -11,56 +11,40 @@ using core::AllocClock;
 
 uint64_t
 EpochDemographics::liveBytesBornAfter(AllocClock Boundary) const {
-  // Closed epochs starting at-or-after the boundary contribute their last
-  // measured survivor bytes; the open epoch (everything allocated since
-  // the previous scavenge, untraced) is always included — this is the
-  // "include the containing epoch wholly" conservative rule.
-  uint64_t Total = BytesSinceLastScavenge;
-  auto It = std::lower_bound(EpochStarts.begin(), EpochStarts.end(),
-                             Boundary);
-  for (size_t I = static_cast<size_t>(It - EpochStarts.begin());
-       I != LiveEstimates.size(); ++I)
-    Total += LiveEstimates[I];
-  return Total;
-}
-
-size_t EpochDemographics::epochOf(AllocClock Birth) const {
-  // Epoch i covers [EpochStarts[i], EpochStarts[i+1]); births equal to an
-  // epoch start belong to the *previous* epoch because births are clocks
-  // *after* the allocation (an object born exactly at t_k was allocated
-  // before the scavenge at t_k ran).
-  auto It = std::lower_bound(EpochStarts.begin(), EpochStarts.end(), Birth);
-  size_t Index = static_cast<size_t>(It - EpochStarts.begin());
-  return Index == 0 ? 0 : Index - 1;
+  // Epochs starting at-or-after the boundary (one strictly containing it
+  // is left out) plus the open epoch's untraced allocation.
+  size_t First = static_cast<size_t>(
+      std::lower_bound(EpochStarts.begin(), EpochStarts.end(), Boundary) -
+      EpochStarts.begin());
+  return BytesSinceLastScavenge + PrefixSums.back() - PrefixSums[First];
 }
 
 void EpochDemographics::beginScavenge(AllocClock Boundary) {
   assert(EpochStarts.size() == LiveEstimates.size());
-  for (size_t I = 0; I != EpochStarts.size(); ++I)
-    if (EpochStarts[I] >= Boundary)
-      LiveEstimates[I] = 0;
-  // The epoch strictly containing the boundary (its start lies before the
-  // boundary) is partially threatened: survivors of its threatened part
-  // will be re-added, so zero it as well. This slightly undercounts its
-  // immune live bytes, which the threatened-trace estimate should exclude
-  // anyway. A boundary sitting exactly on an epoch start leaves the
-  // preceding (fully immune) epoch untouched.
-  auto It = std::upper_bound(EpochStarts.begin(), EpochStarts.end(),
-                             Boundary);
-  if (It != EpochStarts.begin()) {
-    size_t Containing = static_cast<size_t>(It - EpochStarts.begin()) - 1;
-    if (EpochStarts[Containing] < Boundary)
-      LiveEstimates[Containing] = 0;
-  }
-}
-
-void EpochDemographics::recordSurvivor(AllocClock Birth, uint64_t Bytes) {
-  LiveEstimates[epochOf(Birth)] += Bytes;
+  // Every epoch starting at-or-after the boundary is re-measured. So is
+  // the epoch strictly containing the boundary (its start lies before the
+  // boundary): survivors of its threatened part will be re-added, which
+  // slightly undercounts its immune live bytes — the threatened-trace
+  // estimate should exclude those anyway. A boundary sitting exactly on an
+  // epoch start leaves the preceding (fully immune) epoch untouched.
+  size_t First = static_cast<size_t>(
+      std::lower_bound(EpochStarts.begin(), EpochStarts.end(), Boundary) -
+      EpochStarts.begin());
+  if (First == EpochStarts.size() || EpochStarts[First] != Boundary)
+    First -= 1; // EpochStarts[0] == 0 <= Boundary, so First > 0 here.
+  std::fill(LiveEstimates.begin() + static_cast<ptrdiff_t>(First),
+            LiveEstimates.end(), 0);
+  FirstRemeasured = First;
+  Cursor = First;
 }
 
 void EpochDemographics::endScavenge(AllocClock Now) {
-  assert(EpochStarts.empty() || Now >= EpochStarts.back());
+  assert(Now >= EpochStarts.back());
+  for (size_t I = FirstRemeasured; I != LiveEstimates.size(); ++I)
+    PrefixSums[I + 1] = PrefixSums[I] + LiveEstimates[I];
   EpochStarts.push_back(Now);
   LiveEstimates.push_back(0);
+  PrefixSums.push_back(PrefixSums.back());
+  FirstRemeasured = LiveEstimates.size();
   BytesSinceLastScavenge = 0;
 }

@@ -14,8 +14,9 @@
 /// assumed live (they have not been traced yet).
 ///
 /// Estimates for an epoch go stale until a scavenge threatens it again;
-/// this overestimates, which errs toward shorter pauses — the safe
-/// direction for the pause-constrained policies.
+/// objects only die, so this overestimates, which errs toward shorter
+/// pauses — the safe direction for the pause-constrained policies. A
+/// scavenge costs O(threatened epochs + survivors), a query O(log epochs).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -36,9 +37,10 @@ public:
   EpochDemographics() { EpochStarts.push_back(0); }
 
   /// Estimated live bytes born strictly after \p Boundary: the sum of the
-  /// estimates of every epoch starting at-or-after the boundary (an epoch
-  /// containing the boundary is included wholly — conservative) plus the
-  /// untraced bytes allocated since the last scavenge.
+  /// estimates of every epoch starting at-or-after the boundary plus the
+  /// untraced bytes allocated since the last scavenge. An epoch strictly
+  /// containing the boundary is left out, so its survivors born after the
+  /// boundary go uncounted (an undercount of at most that epoch).
   uint64_t liveBytesBornAfter(core::AllocClock Boundary) const override;
 
   /// Tells the table that \p Bytes were allocated since the last scavenge
@@ -47,9 +49,6 @@ public:
     BytesSinceLastScavenge = Bytes;
   }
 
-  /// Returns the epoch index for a birth time.
-  size_t epochOf(core::AllocClock Birth) const;
-
   size_t numEpochs() const { return EpochStarts.size(); }
   core::AllocClock epochStart(size_t Index) const {
     return EpochStarts[Index];
@@ -57,27 +56,28 @@ public:
 
   /// Begins recording survivor bytes for a scavenge with the given
   /// boundary: zeroes the estimates of every epoch starting at-or-after
-  /// the boundary (they are about to be re-measured).
+  /// the boundary, and of the epoch strictly containing it (they are about
+  /// to be re-measured).
   void beginScavenge(core::AllocClock Boundary);
 
-  /// Accumulates \p Bytes of marked (live) storage born at \p Birth.
-  void recordSurvivor(core::AllocClock Birth, uint64_t Bytes);
+  /// Accumulates \p Bytes of marked (live) storage born at \p Birth, after
+  /// the boundary; births arrive in order (the cursor only moves forward).
+  /// A birth equal to an epoch start belongs to the previous epoch: an
+  /// object born exactly at t_k was allocated before the scavenge at t_k.
+  void recordSurvivor(core::AllocClock Birth, uint64_t Bytes) {
+    while (Cursor + 1 != EpochStarts.size() && EpochStarts[Cursor + 1] < Birth)
+      ++Cursor;
+    LiveEstimates[Cursor] += Bytes;
+  }
 
-  /// Finishes the scavenge that ran at time \p Now: opens the new empty
-  /// epoch [Now, ...) and resets the since-allocation counter.
+  /// Finishes the scavenge that ran at time \p Now: refreshes the prefix
+  /// sums, opens the new empty epoch [Now, ...) and resets the
+  /// since-allocation counter.
   void endScavenge(core::AllocClock Now);
 
-  /// Snapshot of the per-epoch estimates, for rolling back an aborted
-  /// scavenge. beginScavenge destructively zeroes the threatened epochs
-  /// and recordSurvivor accumulates into them; a cycle that aborts before
-  /// endScavenge restores the snapshot so the table is exactly as if the
-  /// cycle never began (EpochStarts only changes in endScavenge, so the
-  /// estimates vector is the whole mutable state).
+  /// Copy of the per-epoch estimates, oldest epoch first.
   std::vector<uint64_t> liveEstimatesSnapshot() const {
     return LiveEstimates;
-  }
-  void restoreLiveEstimates(std::vector<uint64_t> Snapshot) {
-    LiveEstimates = std::move(Snapshot);
   }
 
 private:
@@ -85,6 +85,11 @@ private:
   /// open-ended.
   std::vector<core::AllocClock> EpochStarts;
   std::vector<uint64_t> LiveEstimates = {0};
+  /// PrefixSums[i] = sum of LiveEstimates[0, i), stale from
+  /// FirstRemeasured (the first zeroed epoch) until endScavenge.
+  std::vector<uint64_t> PrefixSums = {0, 0};
+  size_t FirstRemeasured = 1;
+  size_t Cursor = 0; ///< Epoch recordSurvivor accumulates into.
   uint64_t BytesSinceLastScavenge = 0;
 };
 

@@ -205,7 +205,8 @@ Object *Heap::tryAllocate(uint32_t NumSlots, uint32_t RawBytes) {
 
   // Collect before satisfying the request so the new object cannot be
   // reclaimed before the mutator has had a chance to root it.
-  maybeTriggerCollection();
+  if (triggerDue())
+    collectOnTrigger();
 
   uint64_t Gross = sizeof(Object) +
                    static_cast<uint64_t>(NumSlots) * sizeof(Object *) +
@@ -355,14 +356,14 @@ size_t Heap::firstBornAfter(AllocClock Boundary) const {
   return static_cast<size_t>(It - Objects.begin());
 }
 
-void Heap::maybeTriggerCollection() {
-  // While an incremental cycle is active the embedder drives collection
-  // pacing through incrementalScavengeStep(); automatic triggering would
-  // drain the cycle mid-allocation and defeat the bounded-pause contract.
-  if (Config.TriggerBytes == 0 || !Policy || InCollection || Inc.Active)
-    return;
-  if (BytesSinceCollect >= Config.TriggerBytes)
-    collect();
+bool Heap::collectOnTrigger() {
+  // The re-check under the world lock makes a crossing that several
+  // threads observed run one collection.
+  if (!stopWorld(/*ForTrigger=*/true))
+    return false;
+  collect();
+  resumeWorld();
+  return true;
 }
 
 core::ScavengeRecord Heap::collect() {

@@ -319,12 +319,12 @@ public:
   /// Cancels the open incremental cycle, restoring the heap to a state
   /// observably equivalent to the cycle never having started: the gray
   /// set and barrier buffers are discarded, every mark this cycle set is
-  /// cleared, the collection stats and survivor-table estimates are
-  /// rolled back, and automatic triggering re-arms. No ScavengeRecord is
-  /// appended. Records a CycleAborted degradation event (+ telemetry
-  /// instant). An injected CycleAbort fault models a failed rollback of
-  /// the barrier bookkeeping: the heap stays safe by pessimizing the next
-  /// collection to a full one.
+  /// cleared, the collection stats are rolled back (only the sweep writes
+  /// the survivor table), and automatic triggering re-arms. No
+  /// ScavengeRecord is appended. Records a CycleAborted degradation event
+  /// (+ telemetry instant). An injected CycleAbort fault models a failed
+  /// rollback of the barrier bookkeeping: the heap stays safe by
+  /// pessimizing the next collection to a full one.
   void abortIncrementalScavenge();
 
   /// True between beginIncrementalScavenge and cycle completion/abort.
@@ -505,8 +505,10 @@ private:
   /// (waits until none is Mutating), publishes pending allocations, and
   /// flushes barrier buffers. Reentrant from the owning thread. A no-op
   /// rendezvous when no contexts are registered (the legacy single-mutator
-  /// path pays one uncontended mutex lock).
-  void stopWorld();
+  /// path pays one uncontended mutex lock). \p ForTrigger re-checks
+  /// triggerDue() under the lock, before any rendezvous: false means
+  /// another thread's collection served the trigger and nothing stopped.
+  bool stopWorld(bool ForTrigger = false);
   /// Releases the world: resets the phase, clears the safepoint request,
   /// and wakes blocked contexts. Balances stopWorld.
   void resumeWorld();
@@ -568,10 +570,9 @@ private:
     std::vector<Object *> PendingGray;
     ScavengeWork Work;
     /// Rollback state for abortIncrementalScavenge: the collection stats
-    /// and survivor-table estimates as they were before begin, so an
-    /// aborted cycle leaves both exactly as if it never started.
+    /// as they were before begin, so an aborted cycle leaves them exactly
+    /// as if it never started.
     CollectionStats PrevStats;
-    std::vector<uint64_t> DemoSnapshot;
   };
 
   /// The pool trace rounds fan out over, per Config.TraceThreads: null for
@@ -617,7 +618,17 @@ private:
                                           uint64_t MemBeforeBytes,
                                           bool RebuildRemSet);
 
-  void maybeTriggerCollection();
+  /// The automatic trigger: TriggerBytes allocated since the last
+  /// collection, a policy, no collection open, and no incremental cycle
+  /// (its embedder paces it; a trigger would drain it). Lock-free.
+  bool triggerDue() const {
+    return Config.TriggerBytes != 0 && Policy && !InCollection &&
+           !IncActiveFlag && BytesSinceCollect >= Config.TriggerBytes;
+  }
+  /// Both allocation paths call this once they saw triggerDue(): collects
+  /// unless the trigger was served by the time this thread holds the world
+  /// lock (see stopWorld). Returns true when this call collected.
+  bool collectOnTrigger();
   void reclaimObject(Object *O);
   /// Frees (or quarantines+poisons) an object's storage.
   void releaseStorage(Object *O);

@@ -47,12 +47,17 @@ using core::AllocClock;
 // Heap: world control
 //===----------------------------------------------------------------------===//
 
-void Heap::stopWorld() {
+bool Heap::stopWorld(bool ForTrigger) {
   if (worldOwnedByThisThread()) {
     StopDepth += 1;
-    return;
+    return true;
   }
   WorldMu.lock();
+  // Served by the collection of another thread that saw the same crossing.
+  if (ForTrigger && !triggerDue()) {
+    WorldMu.unlock();
+    return false;
+  }
   WorldOwner.store(std::this_thread::get_id(), std::memory_order_relaxed);
   StopDepth = 1;
   if (!Mutators.empty()) {
@@ -191,6 +196,7 @@ void Heap::stopWorld() {
     }
   }
   Phase.store(GcPhase::Collecting, std::memory_order_relaxed);
+  return true;
 }
 
 void Heap::resumeWorld() {
@@ -534,20 +540,15 @@ Object *MutatorContext::allocateInOp(uint32_t NumSlots, uint32_t RawBytes) {
   if (NumSlots > MaxSlots || RawBytes > MaxRaw)
     fatalError("allocation exceeds object size limits");
 
-  // Trigger check, mirroring Heap::maybeTriggerCollection: collect before
-  // satisfying the request so the new object cannot be reclaimed before
-  // the mutator roots it. The context counts out around the collection —
-  // a context blocked inside collect() while Mutating would deadlock the
-  // rendezvous it is about to request.
-  if (H.Config.TriggerBytes != 0 && H.Policy &&
-      !H.InCollection.load(std::memory_order_relaxed) &&
-      !H.IncActiveFlag.load(std::memory_order_relaxed) &&
-      H.BytesSinceCollect.load(std::memory_order_relaxed) >=
-          H.Config.TriggerBytes &&
-      !H.worldOwnedByThisThread()) {
+  // Collect before satisfying the request so the new object cannot be
+  // reclaimed before the mutator roots it; counted out, since waiting on
+  // the world lock while Mutating would deadlock its holder's rendezvous.
+  // A safepoint callback driving this context defers to the next trigger:
+  // its pending allocations are not yet in the heap a collection walks.
+  if (H.triggerDue() && !H.worldOwnedByThisThread()) {
     countOut();
-    H.collect();
-    S.TriggeredCollections += 1;
+    if (H.collectOnTrigger())
+      S.TriggeredCollections += 1;
     countIn();
   }
 

@@ -149,7 +149,7 @@ public:
     uint64_t BarrierFlushes = 0;
     /// Count-ins (or polls) that blocked on an open rendezvous.
     uint64_t SafepointYields = 0;
-    /// Collections this context's allocations triggered.
+    /// Trigger collections this context ran (a shared crossing counts once).
     uint64_t TriggeredCollections = 0;
     /// Telemetry-gated observability extension (TLAB waste, barrier
     /// high-water, poll/park counts; empty under

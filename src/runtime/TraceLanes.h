@@ -46,7 +46,6 @@
 #include <future>
 #include <memory>
 #include <mutex>
-#include <utility>
 #include <vector>
 
 namespace dtb {
@@ -68,10 +67,6 @@ inline constexpr size_t TraceLaneMinRound = 64;
 struct TraceLane {
   /// Newly claimed children, bound for the next round's gray queue.
   std::vector<Object *> Children;
-  /// (birth, gross bytes) of children this lane claimed, replayed into
-  /// EpochDemographics on the main thread (recordSurvivor is commutative,
-  /// but the demographics table itself is not thread-safe).
-  std::vector<std::pair<core::AllocClock, uint32_t>> Survivors;
   uint64_t TracedBytes = 0;
   uint64_t ObjectsTraced = 0;
   uint64_t ObjectsMoved = 0;

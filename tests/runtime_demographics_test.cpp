@@ -1,8 +1,12 @@
 //===- tests/runtime_demographics_test.cpp --------------------------------==//
 //
 // Tests for the survivor-table demographics (the runtime's stand-in for
-// the simulator's oracle): epoch bookkeeping, conservative estimates, and
-// integration with the heap.
+// the simulator's oracle): epoch bookkeeping, the boundary rule of the
+// estimates, a seeded property test of the prefix-sum queries against a
+// naive model, and integration with the heap.
+//
+// Replay a property-test failure with DTB_TEST_SEED=<seed> (see
+// tests/TestSeeds.h).
 //
 //===----------------------------------------------------------------------===//
 
@@ -10,8 +14,14 @@
 
 #include "core/Policies.h"
 #include "runtime/Heap.h"
+#include "support/Random.h"
+
+#include "TestSeeds.h"
 
 #include <gtest/gtest.h>
+
+#include <algorithm>
+#include <vector>
 
 using namespace dtb;
 using namespace dtb::runtime;
@@ -76,13 +86,17 @@ TEST(EpochDemographicsTest, EpochOfMapsBirthsToIntervals) {
   D.endScavenge(1000);
   D.beginScavenge(0);
   D.endScavenge(2000);
-  // Epochs: [0,1000), [1000,2000), [2000,...).
-  EXPECT_EQ(D.epochOf(500), 0u);
-  // A birth exactly at an epoch start belongs to the previous epoch (it
-  // was allocated before that scavenge ran).
-  EXPECT_EQ(D.epochOf(1000), 0u);
-  EXPECT_EQ(D.epochOf(1500), 1u);
-  EXPECT_EQ(D.epochOf(2500), 2u);
+  // Epochs: [0,1000), [1000,2000), [2000,...). A full scavenge records
+  // each survivor into the epoch of its birth. A birth exactly at an
+  // epoch start belongs to the previous epoch (it was allocated before
+  // that scavenge ran).
+  D.beginScavenge(0);
+  D.recordSurvivor(500, 1);
+  D.recordSurvivor(1000, 2);
+  D.recordSurvivor(1500, 4);
+  D.recordSurvivor(2500, 8);
+  D.endScavenge(3000);
+  EXPECT_EQ(D.liveEstimatesSnapshot(), (std::vector<uint64_t>{3, 4, 8, 0}));
 }
 
 TEST(EpochDemographicsTest, EpochRolloverOpensEmptyEpoch) {
@@ -100,8 +114,11 @@ TEST(EpochDemographicsTest, EpochRolloverOpensEmptyEpoch) {
   // A birth stamped exactly at the rollover clock belongs to the closed
   // epoch (it was allocated before that scavenge ran), the next byte to
   // the new one.
-  EXPECT_EQ(D.epochOf(1000), 0u);
-  EXPECT_EQ(D.epochOf(1001), 1u);
+  D.beginScavenge(0);
+  D.recordSurvivor(1000, 10);
+  D.recordSurvivor(1001, 20);
+  D.endScavenge(2000);
+  EXPECT_EQ(D.liveEstimatesSnapshot(), (std::vector<uint64_t>{10, 20, 0}));
 }
 
 TEST(EpochDemographicsTest, RolloverSurvivorsLandInTheNewEpoch) {
@@ -118,11 +135,12 @@ TEST(EpochDemographicsTest, RolloverSurvivorsLandInTheNewEpoch) {
   D.endScavenge(2000);
 
   EXPECT_EQ(D.numEpochs(), 3u);
-  // Boundary at 1000 includes the *whole* containing epoch [0,1000) —
-  // conservative — so the epoch-0 survivor born at 1000 is counted by
-  // liveBytesBornAfter(0) and liveBytesBornAfter(999), and both epochs'
-  // bytes by a boundary of 0.
+  // A query sums the epochs starting at-or-after the boundary. A boundary
+  // of 0 counts both epochs. A boundary of 999 lies strictly inside epoch
+  // 0 ([0,1000)), which is left out: the survivor born at 1000 is not
+  // counted although it was born after 999, so the estimate undercounts.
   EXPECT_EQ(D.liveBytesBornAfter(0), 60u);
+  EXPECT_EQ(D.liveBytesBornAfter(999), 35u);
   EXPECT_EQ(D.liveBytesBornAfter(1000), 35u);
   EXPECT_EQ(D.liveBytesBornAfter(2000), 0u);
 }
@@ -176,6 +194,130 @@ TEST(EpochDemographicsTest, ManyRolloversKeepStartsAndEstimatesAligned) {
   EXPECT_EQ(D.liveBytesBornAfter(0), 200u);
   EXPECT_EQ(D.liveBytesBornAfter(10'000), 100u);
   EXPECT_EQ(D.liveBytesBornAfter(Now), 0u);
+}
+
+namespace {
+
+/// The naive survivor table the prefix-sum implementation must agree
+/// with: estimates kept per epoch, zeroed and re-accumulated by linear
+/// scans, queried by summing every epoch starting at-or-after the
+/// boundary.
+struct NaiveTable {
+  std::vector<core::AllocClock> Starts = {0};
+  std::vector<uint64_t> Live = {0};
+  uint64_t SinceLast = 0;
+
+  void begin(core::AllocClock Boundary) {
+    for (size_t I = 0; I != Starts.size(); ++I) {
+      bool Next = I + 1 != Starts.size();
+      bool Contains = Starts[I] < Boundary &&
+                      (!Next || Boundary < Starts[I + 1]);
+      if (Starts[I] >= Boundary || Contains)
+        Live[I] = 0;
+    }
+  }
+  void record(core::AllocClock Birth, uint64_t Bytes) {
+    size_t Epoch = 0;
+    for (size_t I = 0; I != Starts.size(); ++I)
+      if (Starts[I] < Birth)
+        Epoch = I;
+    Live[Epoch] += Bytes;
+  }
+  void end(core::AllocClock Now) {
+    Starts.push_back(Now);
+    Live.push_back(0);
+    SinceLast = 0;
+  }
+};
+
+/// Sum of the table's own snapshot over the epochs starting at-or-after
+/// \p Boundary, plus the untraced bytes.
+uint64_t naiveBornAfter(const EpochDemographics &D, uint64_t SinceLast,
+                        core::AllocClock Boundary) {
+  std::vector<uint64_t> Estimates = D.liveEstimatesSnapshot();
+  uint64_t Sum = SinceLast;
+  for (size_t I = 0; I != D.numEpochs(); ++I)
+    if (D.epochStart(I) >= Boundary)
+      Sum += Estimates[I];
+  return Sum;
+}
+
+} // namespace
+
+TEST(EpochDemographicsTest, PrefixSumQueriesMatchNaiveSums) {
+  const uint64_t Seed = test::effectiveSeed(0xDE30);
+  DTB_SCOPED_SEED_TRACE(Seed);
+  Rng R(Seed);
+
+  for (int Run = 0; Run != 20; ++Run) {
+    EpochDemographics D;
+    NaiveTable Model;
+    core::AllocClock Now = 0;
+    for (int Scavenge = 0; Scavenge != 60; ++Scavenge) {
+      // Allocation since the last scavenge; sometimes none, so two epochs
+      // share a start.
+      Now += R.nextBelow(4) == 0 ? 0 : 1 + R.nextBelow(5'000);
+      uint64_t Since = R.nextBelow(3'000);
+      D.setBytesSinceLastScavenge(Since);
+      Model.SinceLast = Since;
+
+      // The boundary: on an epoch start, one byte before or after one,
+      // strictly between two starts, 0, or now.
+      size_t E = R.nextBelow(Model.Starts.size());
+      core::AllocClock Start = Model.Starts[E];
+      core::AllocClock Boundary = 0;
+      switch (R.nextBelow(5)) {
+      case 0:
+        Boundary = Start;
+        break;
+      case 1:
+        Boundary = Start == 0 ? 0 : Start - 1;
+        break;
+      case 2:
+        Boundary = std::min(Start + 1, Now);
+        break;
+      case 3:
+        Boundary = Start + R.nextBelow(Now - Start + 1);
+        break;
+      default:
+        Boundary = R.nextBelow(2) ? 0 : Now;
+        break;
+      }
+
+      // Before the scavenge, every query agrees with the naive sums.
+      for (size_t I = 0; I != Model.Starts.size(); ++I)
+        for (core::AllocClock Q : {Model.Starts[I], Model.Starts[I] + 1,
+                                   Model.Starts[I] == 0
+                                       ? core::AllocClock(0)
+                                       : Model.Starts[I] - 1})
+          ASSERT_EQ(D.liveBytesBornAfter(Q), naiveBornAfter(D, Since, Q))
+              << "run " << Run << " scavenge " << Scavenge << " query " << Q;
+      ASSERT_EQ(D.liveBytesBornAfter(Now + 1), Since);
+
+      // Survivors in birth order, born after the boundary (some exactly on
+      // an epoch start, which belongs to the epoch before it).
+      D.beginScavenge(Boundary);
+      Model.begin(Boundary);
+      core::AllocClock Birth = Boundary;
+      while (Birth < Now && R.nextBelow(8) != 0) {
+        Birth += 1 + R.nextBelow(std::max<uint64_t>((Now - Birth) / 4, 1));
+        if (Birth > Now)
+          break;
+        auto Next = std::upper_bound(Model.Starts.begin(), Model.Starts.end(),
+                                     Birth);
+        if (Next != Model.Starts.end() && R.nextBelow(3) == 0)
+          Birth = *Next;
+        uint64_t Bytes = 1 + R.nextBelow(500);
+        D.recordSurvivor(Birth, Bytes);
+        Model.record(Birth, Bytes);
+      }
+      D.endScavenge(Now);
+      Model.end(Now);
+      ASSERT_EQ(D.liveEstimatesSnapshot(), Model.Live)
+          << "run " << Run << " scavenge " << Scavenge << " boundary "
+          << Boundary;
+    }
+  }
 }
 
 TEST(EpochDemographicsTest, HeapIntegrationTracksSurvivors) {

@@ -156,21 +156,32 @@ void runStress(const StressOptions &Options) {
                          std::ref(Mailboxes), std::ref(MailboxesReady),
                          std::ref(Finished));
 
+  // Runs the verifier at a safepoint; returns the scavenges recorded so far.
   auto verifyBattery = [&](const char *Where) {
+    size_t Scavenges = 0;
     H.runAtSafepoint([&](Heap &Stopped) {
       VerifyResult Verified = verifyHeap(Stopped);
       EXPECT_TRUE(Verified.Ok)
           << Where << ": "
           << (Verified.Problems.empty() ? "" : Verified.Problems.front());
+      Scavenges = Stopped.history().size();
     });
+    return Scavenges;
   };
 
   while (MailboxesReady.load(std::memory_order_acquire) != NumThreads)
     std::this_thread::yield();
 
-  // Verifier battery against live mutation.
-  for (int Round = 0; Round != 8; ++Round) {
-    verifyBattery("mid-run safepoint");
+  // Verifier battery against live mutation, until the mill has driven two
+  // trigger scavenges: each crossing runs exactly one collection, and the
+  // open incremental cycle below suspends the trigger, so opening it early
+  // on a slow (sanitized) run could leave the mill without any.
+  size_t Scavenges = 0;
+  for (int Round = 0;
+       Round < 8 || (Scavenges < 2 &&
+                     Finished.load(std::memory_order_acquire) != NumThreads);
+       ++Round) {
+    Scavenges = verifyBattery("mid-run safepoint");
     std::this_thread::yield();
   }
 

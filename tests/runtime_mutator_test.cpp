@@ -3,15 +3,17 @@
 // The mutator-context runtime's deterministic invariants: TLAB
 // carve/refill/retire accounting (no byte lost, no byte double-carved),
 // the safepoint count-in/count-out protocol against a real mutator
-// thread, phase-transition barrier routing, and the determinism contract
-// (one context driven single-threaded reproduces the direct heap API
-// exactly).
+// thread, one collection per trigger crossing under racing contexts,
+// phase-transition barrier routing, and the determinism contract (one
+// context driven single-threaded reproduces the direct heap API exactly).
 //
 //===----------------------------------------------------------------------===//
 
 #include "runtime/Heap.h"
 #include "runtime/HeapVerifier.h"
 #include "runtime/Mutator.h"
+
+#include "core/Policies.h"
 
 #include <gtest/gtest.h>
 
@@ -240,6 +242,102 @@ TEST(SafepointTest, ParkedContextDoesNotBlockTheRendezvous) {
   Stage.store(2, std::memory_order_release);
   Worker.join();
   EXPECT_GE(H.mutatorStats().SafepointRendezvous, 1u);
+}
+
+//===----------------------------------------------------------------------===//
+// The automatic trigger under racing contexts
+//===----------------------------------------------------------------------===//
+
+TEST(TriggerTest, RacingContextsRunOneCollectionPerCrossing) {
+  constexpr unsigned Threads = 4;
+  constexpr uint64_t TriggerBytes = 8 * 1024;
+  HeapConfig Config;
+  Config.TriggerBytes = TriggerBytes;
+  Config.Collector = CollectorKind::MarkSweep;
+  Heap H(Config);
+  H.setPolicy(core::createPolicy("fixed1", core::PolicyConfig()));
+
+  std::atomic<unsigned> Ready{0};
+  std::vector<uint64_t> Triggered(Threads, 0);
+  std::vector<std::thread> Workers;
+  for (unsigned T = 0; T != Threads; ++T)
+    Workers.emplace_back([&, T] {
+      MutatorContext Ctx(H);
+      Ready.fetch_add(1, std::memory_order_acq_rel);
+      while (Ready.load(std::memory_order_acquire) != Threads)
+        std::this_thread::yield();
+      for (uint32_t I = 0; I != 10'000; ++I) {
+        size_t Idx = Ctx.allocateRooted(1, (I * 13 + T * 7) % 96);
+        if (Idx != 0 && I % 3 == 0)
+          Ctx.writeSlot(Ctx.root(Idx - 1), 0, Ctx.root(Idx));
+        if (Ctx.numRoots() > 48)
+          Ctx.truncateRoots(8);
+      }
+      Triggered[T] = Ctx.stats().TriggeredCollections;
+    });
+
+  // The verifier battery against the racing mill.
+  while (Ready.load(std::memory_order_acquire) != Threads)
+    std::this_thread::yield();
+  for (int Round = 0; Round != 4; ++Round)
+    H.runAtSafepoint(
+        [&](Heap &Stopped) { expectVerified(Stopped, "mid-race safepoint"); });
+  for (std::thread &Worker : Workers)
+    Worker.join();
+
+  // A collection runs only once TriggerBytes were counted since the last
+  // reset, so the bound is exact; contexts that saw the same crossing and
+  // each collected would overshoot it.
+  size_t Collections = H.history().size();
+  EXPECT_GE(Collections, 2u) << "mill too small to cross the trigger";
+  EXPECT_LE(Collections, H.now() / TriggerBytes);
+  uint64_t Sum = 0;
+  for (uint64_t N : Triggered)
+    Sum += N;
+  EXPECT_EQ(Sum, Collections);
+  H.runAtSafepoint(
+      [&](Heap &Stopped) { expectVerified(Stopped, "after the race"); });
+}
+
+TEST(TriggerTest, SafepointCallbackAllocationsDeferTheTrigger) {
+  for (CollectorKind Kind : {CollectorKind::MarkSweep, CollectorKind::Copying}) {
+    SCOPED_TRACE(Kind == CollectorKind::MarkSweep ? "mark-sweep" : "copying");
+    HeapConfig Config;
+    Config.TriggerBytes = 1024;
+    Config.Collector = Kind;
+    Heap H(Config);
+    H.setPolicy(core::createPolicy("full", core::PolicyConfig()));
+    MutatorContext Ctx(H);
+
+    // A callback driving the context allocates well past the trigger. Its
+    // allocations stay pending until the world is released, so a
+    // collection inside the callback would not see them in the heap.
+    size_t ParentIdx = 0;
+    H.runAtSafepoint([&](Heap &Stopped) {
+      ParentIdx = Ctx.allocateRooted(1, 0);
+      for (int I = 0; I != 64; ++I)
+        Ctx.allocateRooted(1, 32);
+      EXPECT_GE(Stopped.now(), 4 * Config.TriggerBytes);
+      EXPECT_TRUE(Stopped.history().empty())
+          << "a callback-driven allocation collected in place";
+    });
+    EXPECT_EQ(Ctx.stats().TriggeredCollections, 0u);
+
+    // Outside the callback the trigger fires at the next allocation. A
+    // young child reachable only through the callback's parent must then
+    // survive a second collection.
+    size_t ChildIdx = Ctx.allocateRooted(0, 16);
+    EXPECT_EQ(Ctx.stats().TriggeredCollections, 1u);
+    Ctx.writeSlot(Ctx.root(ParentIdx), 0, Ctx.root(ChildIdx));
+    Ctx.truncateRoots(ChildIdx);
+    H.collect();
+    H.runAtSafepoint([&](Heap &Stopped) {
+      expectVerified(Stopped, "after the second collection");
+    });
+    EXPECT_EQ(H.history().size(), 2u);
+    ASSERT_NE(Ctx.root(ParentIdx)->slot(0), nullptr);
+    EXPECT_EQ(Ctx.root(ParentIdx)->slot(0)->rawBytes(), 16u);
+  }
 }
 
 //===----------------------------------------------------------------------===//
