@@ -20,11 +20,11 @@
 // Evacuation runs on the shared trace-lane engine (TraceLanes.h): lanes
 // race an atomic fetch_or on the header's claim bit, so exactly one lane
 // copies each object; the winner publishes the copy through a release
-// store into a side table of forwarding slots (indexed by the original's
-// position in the threatened suffix — the 24-byte header has no room for
-// a forwarding pointer), and losers acquire-spin on that slot. Which lane
-// wins is scheduling-dependent; what is copied, accounted, and published
-// is not.
+// store into a side table of forwarding slots, and losers acquire-spin on
+// that slot. The 24-byte header has no room for a forwarding pointer, so
+// the slots are indexed by the original's position in the threatened
+// suffix, found through an address-keyed hash index. Which lane wins is
+// scheduling-dependent; what is copied, accounted, and published is not.
 //
 //===----------------------------------------------------------------------===//
 
@@ -36,6 +36,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <bit>
 #include <cassert>
 #include <cstring>
 #include <new>
@@ -50,18 +51,34 @@ Heap::ScavengeWork Heap::runCopying(AllocClock Boundary) {
   ScavengeWork Work;
 
   const size_t Begin = firstBornAfter(Boundary);
-  // Forwarding side table, one slot per threatened original. The object
-  // list is birth-ordered and frozen until the sweep, so a threatened
-  // original's slot is recoverable by position (direct index in the
-  // sweep, binary search on the unique birth elsewhere).
-  std::vector<std::atomic<Object *>> Forward(Objects.size() - Begin);
+  const size_t Threatened = Objects.size() - Begin;
+  // Forwarding side table, one slot per threatened original, indexed by
+  // its position in the object list's threatened suffix (frozen until the
+  // sweep, which indexes it directly). Other lookups map the original's
+  // address to that position through an open-addressing index, built here
+  // from the pointers alone before any lane runs and only read after. Its
+  // capacity of at least twice the threatened count keeps linear probes
+  // short and leaves an empty entry, which ends the probe of a miss.
+  std::vector<std::atomic<Object *>> Forward(Threatened);
+  struct IndexEntry { const Object *Original; size_t Position; };
+  const size_t Capacity = std::bit_ceil(std::max<size_t>(2, 2 * Threatened));
+  const int Shift = 64 - std::countr_zero(Capacity);
+  auto homeOf = [&](const Object *O) -> size_t {
+    return (reinterpret_cast<uintptr_t>(O) * 0x9E3779B97F4A7C15ull) >> Shift;
+  };
+  std::vector<IndexEntry> Index(Capacity);
+  for (size_t I = 0; I != Threatened; ++I) {
+    size_t H = homeOf(Objects[Begin + I]);
+    while (Index[H].Original)
+      H = (H + 1) & (Capacity - 1);
+    Index[H] = {Objects[Begin + I], I};
+  }
   auto forwardSlot = [&](const Object *O) -> std::atomic<Object *> & {
-    auto It = std::lower_bound(
-        Objects.begin() + static_cast<ptrdiff_t>(Begin), Objects.end(),
-        O->birth(),
-        [](const Object *A, AllocClock Birth) { return A->birth() < Birth; });
-    assert(It != Objects.end() && *It == O && "original not in object list");
-    return Forward[static_cast<size_t>(It - Objects.begin()) - Begin];
+    for (size_t H = homeOf(O);; H = (H + 1) & (Capacity - 1)) {
+      if (Index[H].Original == O)
+        return Forward[Index[H].Position];
+      DTB_CHECK(Index[H].Original, "original not in object list");
+    }
   };
 
   auto isThreatened = [&](const Object *O) {

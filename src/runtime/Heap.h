@@ -503,11 +503,13 @@ private:
   /// Acquires exclusive ownership of the stopped world: serializes against
   /// competing collectors, rendezvouses with every registered context
   /// (waits until none is Mutating), publishes pending allocations, and
-  /// flushes barrier buffers. Reentrant from the owning thread. A no-op
-  /// rendezvous when no contexts are registered (the legacy single-mutator
-  /// path pays one uncontended mutex lock). \p ForTrigger re-checks
-  /// triggerDue() under the lock, before any rendezvous: false means
-  /// another thread's collection served the trigger and nothing stopped.
+  /// flushes barrier buffers. Reentrant from the owning thread; a nested
+  /// stop publishes what a safepoint callback allocated through a context.
+  /// A no-op rendezvous when no contexts are registered (the legacy
+  /// single-mutator path pays one uncontended mutex lock). \p ForTrigger
+  /// re-checks triggerDue() under the lock, before any rendezvous: false
+  /// means another thread's collection served the trigger and nothing
+  /// stopped.
   bool stopWorld(bool ForTrigger = false);
   /// Releases the world: resets the phase, clears the safepoint request,
   /// and wakes blocked contexts. Balances stopWorld.

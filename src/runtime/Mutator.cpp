@@ -50,6 +50,13 @@ using core::AllocClock;
 bool Heap::stopWorld(bool ForTrigger) {
   if (worldOwnedByThisThread()) {
     StopDepth += 1;
+    // A safepoint callback may have allocated through a context; a
+    // collection it starts must find those objects in the heap.
+    if (std::any_of(Mutators.begin(), Mutators.end(),
+                    [](const MutatorContext *Ctx) {
+                      return !Ctx->Pending.empty();
+                    }))
+      publishMutatorState();
     return true;
   }
   WorldMu.lock();
@@ -543,8 +550,9 @@ Object *MutatorContext::allocateInOp(uint32_t NumSlots, uint32_t RawBytes) {
   // Collect before satisfying the request so the new object cannot be
   // reclaimed before the mutator roots it; counted out, since waiting on
   // the world lock while Mutating would deadlock its holder's rendezvous.
-  // A safepoint callback driving this context defers to the next trigger:
-  // its pending allocations are not yet in the heap a collection walks.
+  // A safepoint callback driving this context defers to the first
+  // allocation after the release: the callback owns the stopped world for
+  // its own work and collects explicitly when it means to.
   if (H.triggerDue() && !H.worldOwnedByThisThread()) {
     countOut();
     if (H.collectOnTrigger())

@@ -56,9 +56,11 @@ namespace runtime {
 /// algorithm with this cap at zero, so chaos tests can force it cheaply.
 inline constexpr size_t TraceLaneChildCap = 1u << 16;
 
-/// Rounds smaller than this run inline on the calling thread: fan-out
-/// costs a few wakeups, which chain-shaped heaps (round size 1) would pay
-/// per object. Purely a scheduling decision — results are identical.
+/// Rounds with fewer items than this, or fewer pointer slots among their
+/// items, run inline on the calling thread: fan-out costs a few wakeups,
+/// which chain-shaped heaps (round size 1) would pay per object and rounds
+/// of slot-less leaves (nothing to scan) would pay for nothing. Purely a
+/// scheduling decision — results are identical.
 inline constexpr size_t TraceLaneMinRound = 64;
 
 /// Per-lane accumulation buffers for one scan round. Lanes never touch
@@ -128,17 +130,19 @@ public:
   /// scheduling changes.
   void degradeAllRounds() { DegradeAllRounds = true; }
 
-  /// Scans Items[0..N) across the lanes; Scan(Object*, TraceLane&) must
-  /// only touch its lane's buffers and lane-safe (atomic) object state.
+  /// Scans Items[0..N), which hold \p Slots pointer slots in all, across
+  /// the lanes; Scan(Object*, TraceLane&) must only touch its lane's
+  /// buffers and lane-safe (atomic) object state.
   template <typename ScanFn>
-  void scanRound(Object *const *Items, size_t N, const ScanFn &Scan) {
+  void scanRound(Object *const *Items, size_t N, uint64_t Slots,
+                 const ScanFn &Scan) {
     const unsigned L = numLanes();
     const bool Degrade = DegradeNextRound || DegradeAllRounds;
     DegradeNextRound = false;
     for (TraceLane &Lane : Lanes)
       Lane.ChildCap = Degrade ? 0 : TraceLaneChildCap;
 
-    if (L == 1 || N < TraceLaneMinRound) {
+    if (L == 1 || N < TraceLaneMinRound || Slots < TraceLaneMinRound) {
       runLane(Lanes[0], [&] {
         for (size_t I = 0; I != N; ++I)
           Scan(Items[I], Lanes[0]);
@@ -231,12 +235,14 @@ uint64_t runTraceQuantum(TraceLaneSet &Lanes, std::vector<Object *> &Gray,
   while (Head != Gray.size() && (BudgetBytes == 0 || Scanned < BudgetBytes)) {
     uint64_t Remaining = Canonical ? BudgetBytes - Scanned : UINT64_MAX;
     size_t Take = 0;
-    uint64_t RoundBytes = 0;
+    uint64_t RoundBytes = 0, RoundSlots = 0;
     while (Head + Take != Gray.size()) {
-      uint64_t Gross = Gray[Head + Take]->grossBytes();
+      const Object *O = Gray[Head + Take];
+      uint64_t Gross = O->grossBytes();
       if (Take != 0 && RoundBytes + Gross > Remaining)
         break;
       RoundBytes += Gross;
+      RoundSlots += O->numSlots();
       Take += 1;
       if (RoundBytes >= Remaining)
         break;
@@ -246,7 +252,7 @@ uint64_t runTraceQuantum(TraceLaneSet &Lanes, std::vector<Object *> &Gray,
     if (faultRequestedAt(FaultSite::ParallelTrace))
       Lanes.degradeNextRound();
     size_t OldSize = Gray.size();
-    Lanes.scanRound(Gray.data() + Head, Take, Scan);
+    Lanes.scanRound(Gray.data() + Head, Take, RoundSlots, Scan);
     Head += Take;
     Drain(Gray); // Appends children + overflow in fixed lane order.
     if (Canonical && Gray.size() != OldSize) {

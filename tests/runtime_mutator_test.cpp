@@ -244,6 +244,47 @@ TEST(SafepointTest, ParkedContextDoesNotBlockTheRendezvous) {
   EXPECT_GE(H.mutatorStats().SafepointRendezvous, 1u);
 }
 
+TEST(SafepointTest, CollectionInsideCallbackSeesCallbackAllocations) {
+  for (CollectorKind Kind : {CollectorKind::MarkSweep, CollectorKind::Copying}) {
+    SCOPED_TRACE(Kind == CollectorKind::MarkSweep ? "mark-sweep" : "copying");
+    HeapConfig Config = manualConfig();
+    Config.Collector = Kind;
+    // Released objects keep a dead canary, so a wrongly freed child is
+    // detected rather than read after free.
+    Config.QuarantineFreedObjects = true;
+    Heap H(Config);
+    MutatorContext Ctx(H);
+
+    // The callback allocates through the context, then collects: the
+    // collection's nested stop must publish the pending parent and child.
+    size_t ParentIdx = 0;
+    H.runAtSafepoint([&](Heap &Stopped) {
+      ParentIdx = Ctx.allocateRooted(1, 8);
+      Ctx.writeSlot(Ctx.root(ParentIdx), 0, Ctx.allocate(0, 8));
+      Stopped.collectAtBoundary(0);
+    });
+    H.runAtSafepoint([&](Heap &Stopped) {
+      expectVerified(Stopped, "after the callback's collection");
+    });
+
+    // A new young child reachable only through the callback's parent must
+    // survive a second collection (a parent left marked would hide it).
+    size_t ChildIdx = Ctx.allocateRooted(0, 16);
+    Ctx.writeSlot(Ctx.root(ParentIdx), 0, Ctx.root(ChildIdx));
+    Ctx.truncateRoots(ChildIdx);
+    H.collectAtBoundary(0);
+    H.runAtSafepoint([&](Heap &Stopped) {
+      expectVerified(Stopped, "after the second collection");
+    });
+    EXPECT_EQ(H.history().size(), 2u);
+    Object *Child = Ctx.root(ParentIdx)->slot(0);
+    ASSERT_NE(Child, nullptr);
+    ASSERT_TRUE(Child->isAlive());
+    EXPECT_EQ(Child->rawBytes(), 16u);
+    EXPECT_EQ(reachableBytes(H), H.residentBytes());
+  }
+}
+
 //===----------------------------------------------------------------------===//
 // The automatic trigger under racing contexts
 //===----------------------------------------------------------------------===//
@@ -309,9 +350,9 @@ TEST(TriggerTest, SafepointCallbackAllocationsDeferTheTrigger) {
     H.setPolicy(core::createPolicy("full", core::PolicyConfig()));
     MutatorContext Ctx(H);
 
-    // A callback driving the context allocates well past the trigger. Its
-    // allocations stay pending until the world is released, so a
-    // collection inside the callback would not see them in the heap.
+    // A callback driving the context allocates well past the trigger. The
+    // trigger waits for the release: the callback owns the stopped world
+    // for its own work and collects only when it asks to.
     size_t ParentIdx = 0;
     H.runAtSafepoint([&](Heap &Stopped) {
       ParentIdx = Ctx.allocateRooted(1, 0);

@@ -112,6 +112,74 @@ void buildWideGraph(Heap &H, HandleScope &Scope, size_t Spines) {
   }
 }
 
+/// A DTBFM copying run over a leaf-heavy heap, built in batches with a
+/// policy-driven collection after each. Most handle-rooted objects have
+/// no slots, so their rounds run inline; slotted parents share leaf
+/// children, so the parents' rounds fan out and lanes race to claim the
+/// same child. Several handles alias one object, a pinned leaf is shared
+/// too, and weak references name a surviving and a dying leaf. Checks the
+/// aliasing, pinning and weak-reference outcomes and the verifier after
+/// every collection.
+RunResult runLeafHeavyCopying(unsigned Lanes) {
+  HeapConfig Config;
+  Config.TriggerBytes = 0;
+  Config.Collector = CollectorKind::Copying;
+  Config.TraceThreads = Lanes;
+  Config.QuarantineFreedObjects = true;
+  Heap H(Config);
+  core::PolicyConfig PolicyConfig;
+  PolicyConfig.TraceMaxBytes = 150'000;
+  H.setPolicy(core::createPolicy("dtbfm", PolicyConfig));
+  HandleScope Scope(H);
+
+  std::vector<Object **> Aliases;
+  Object *Aliased = H.allocate(0, 24);
+  for (int I = 0; I != 5; ++I)
+    Aliases.push_back(&Scope.slot(Aliased));
+  Object *PinnedLeaf = H.allocate(0, 40);
+  H.pinObject(PinnedLeaf);
+  WeakRef DyingWeak(H, H.allocate(0, 16));
+
+  Object **SharedHolder = nullptr;
+  WeakRef SurvivorWeak(H);
+  for (int Batch = 0; Batch != 4; ++Batch) {
+    std::vector<Object *> Shared;
+    for (uint32_t I = 0; I != 96; ++I)
+      Shared.push_back(H.allocate(0, 8 + I % 24));
+    for (uint32_t P = 0; P != 200; ++P) {
+      Object *&Parent = Scope.slot(H.allocate(4, 16));
+      for (uint32_t K = 0; K != 4; ++K)
+        H.writeSlot(Parent, K, Shared[(P * 5 + K * 11) % Shared.size()]);
+      if (P % 50 == 0) {
+        H.writeSlot(Parent, 1, *Aliases.front());
+        H.writeSlot(Parent, 2, PinnedLeaf);
+      }
+      if (Batch == 0 && P == 0)
+        SharedHolder = &Parent;
+    }
+    if (Batch == 0)
+      SurvivorWeak.set((*SharedHolder)->slot(0));
+    for (uint32_t I = 0; I != 2'000; ++I)
+      Scope.slot(H.allocate(0, (I * 7) % 64));
+    for (uint32_t I = 0; I != 500; ++I)
+      H.allocate(0, 32); // Garbage.
+
+    H.collect();
+    for (Object **Alias : Aliases)
+      EXPECT_EQ(*Alias, *Aliases.front()) << "alias got its own copy";
+    EXPECT_TRUE((*Aliases.front())->isAlive());
+    EXPECT_TRUE(PinnedLeaf->isAlive());
+    EXPECT_EQ(SurvivorWeak.get(), (*SharedHolder)->slot(0));
+    VerifyResult Verified = verifyHeap(H);
+    EXPECT_TRUE(Verified.Ok) << (Verified.Problems.empty()
+                                     ? ""
+                                     : Verified.Problems.front());
+  }
+  EXPECT_EQ(DyingWeak.get(), nullptr);
+  EXPECT_GT(H.lastCollectionStats().ObjectsMoved, 0u);
+  return snapshot(H);
+}
+
 } // namespace
 
 TEST(ParallelTraceTest, MarkSweepGhostRunIsLaneCountInvariant) {
@@ -154,6 +222,12 @@ TEST(ParallelTraceTest, WideGraphStealingMatchesSerial) {
     EXPECT_GT(Results[0].Stats.ObjectsTraced, 3'000u);
     expectIdentical(Results[0], Results[1]);
   }
+}
+
+TEST(ParallelTraceTest, LeafHeavyCopyingIsLaneCountInvariant) {
+  RunResult Serial = runLeafHeavyCopying(1);
+  ASSERT_EQ(Serial.Records.size(), 4u);
+  expectIdentical(Serial, runLeafHeavyCopying(4));
 }
 
 TEST(ParallelTraceTest, PinnedObjectsTracedInPlaceUnderLanes) {

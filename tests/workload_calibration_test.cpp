@@ -16,6 +16,8 @@
 #include "TestSeeds.h"
 #include <gtest/gtest.h>
 
+#include <ostream>
+
 using namespace dtb;
 using namespace dtb::workload;
 
@@ -47,6 +49,14 @@ constexpr Band Bands[] = {
     {"espresso1", 0.15, 0.25}, {"espresso2", 0.15, 0.25},
     {"sis", 0.12, 0.12},      {"cfrac", 0.5, 0.5},
 };
+
+/// Prints the param for gtest, which puts the print in each ctest name.
+/// The default print is the struct's raw bytes, which include the
+/// randomized address of Name and so change at every test discovery.
+void PrintTo(const Band &B, std::ostream *OS) {
+  *OS << B.Name << " (tolerance: live mean " << B.LiveMeanTolerance
+      << ", live max " << B.LiveMaxTolerance << ")";
+}
 
 class CalibrationTest : public testing::TestWithParam<Band> {};
 
