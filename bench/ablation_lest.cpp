@@ -11,28 +11,21 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "ExperimentCli.h"
+
 #include "report/Experiments.h"
-#include "support/CommandLine.h"
 #include "support/Table.h"
 #include "support/Units.h"
-#include "telemetry/TelemetryCli.h"
 
 #include <cstdio>
 #include <tuple>
 
 using namespace dtb;
 
-int main(int Argc, char **Argv) {
+int dtb::bench::runAblationLest(ExperimentCli &Cli) {
   uint64_t MemMax = 3'000'000;
-  OptionParser Parser("DTBMEM L_est ablation: paper's midpoint vs the "
-                      "S/Trace extremes and the oracle");
-  Parser.addUInt("mem-max", "Memory budget in bytes", &MemMax);
-  telemetry::TelemetryOptions TelemetryOpts;
-  telemetry::addTelemetryOptions(Parser, &TelemetryOpts);
-  if (!Parser.parse(Argc, Argv))
-    return 1;
-  telemetry::TelemetrySession Telemetry(TelemetryOpts);
-  if (!Telemetry.valid())
+  Cli.Parser.addUInt("mem-max", "Memory budget in bytes", &MemMax);
+  if (!Cli.parse())
     return 1;
 
   const std::tuple<core::LiveEstimateKind, const char *, const char *>

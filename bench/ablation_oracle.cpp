@@ -13,30 +13,23 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "ExperimentCli.h"
+
 #include "core/OptimalPolicies.h"
 #include "report/Experiments.h"
-#include "support/CommandLine.h"
 #include "support/Table.h"
 #include "support/Units.h"
-#include "telemetry/TelemetryCli.h"
 
 #include <cstdio>
 
 using namespace dtb;
 
-int main(int Argc, char **Argv) {
+int dtb::bench::runAblationOracle(ExperimentCli &Cli) {
   uint64_t TraceMax = 50'000;
   uint64_t MemMax = 3'000'000;
-  OptionParser Parser("Measures DTBFM/DTBMEM regret against clairvoyant "
-                      "per-scavenge-optimal baselines");
-  Parser.addUInt("trace-max", "Pause budget in traced bytes", &TraceMax);
-  Parser.addUInt("mem-max", "Memory budget in bytes", &MemMax);
-  telemetry::TelemetryOptions TelemetryOpts;
-  telemetry::addTelemetryOptions(Parser, &TelemetryOpts);
-  if (!Parser.parse(Argc, Argv))
-    return 1;
-  telemetry::TelemetrySession Telemetry(TelemetryOpts);
-  if (!Telemetry.valid())
+  Cli.Parser.addUInt("trace-max", "Pause budget in traced bytes", &TraceMax);
+  Cli.Parser.addUInt("mem-max", "Memory budget in bytes", &MemMax);
+  if (!Cli.parse())
     return 1;
 
   std::printf("Regret vs clairvoyant baselines (pause budget %.0f ms, "

@@ -13,37 +13,26 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "ExperimentCli.h"
+
 #include "core/Combinators.h"
 #include "report/Experiments.h"
-#include "support/CommandLine.h"
 #include "support/Table.h"
 #include "support/Units.h"
-#include "telemetry/TelemetryCli.h"
 
 #include <cstdio>
 
 using namespace dtb;
 
-int main(int Argc, char **Argv) {
+int dtb::bench::runAblationQuantization(ExperimentCli &Cli) {
   std::string WorkloadName = "ghost1";
-  OptionParser Parser("Quantizes the DTB boundaries to coarser age "
-                      "granularities and measures the cost of imprecise "
-                      "object ages");
-  Parser.addString("workload", "Workload name", &WorkloadName);
-  telemetry::TelemetryOptions TelemetryOpts;
-  telemetry::addTelemetryOptions(Parser, &TelemetryOpts);
-  if (!Parser.parse(Argc, Argv))
-    return 1;
-  telemetry::TelemetrySession Telemetry(TelemetryOpts);
-  if (!Telemetry.valid())
+  Cli.Parser.addString("workload", "Workload name", &WorkloadName);
+  if (!Cli.parse())
     return 1;
 
-  const workload::WorkloadSpec *Spec = workload::findWorkload(WorkloadName);
-  if (!Spec) {
-    std::fprintf(stderr, "error: unknown workload '%s'\n",
-                 WorkloadName.c_str());
+  const workload::WorkloadSpec *Spec = lookupWorkload(WorkloadName);
+  if (!Spec)
     return 1;
-  }
   trace::Trace T = workload::generateTrace(*Spec);
   sim::SimulatorConfig SimConfig;
   SimConfig.ProgramSeconds = Spec->ProgramSeconds;

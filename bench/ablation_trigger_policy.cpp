@@ -10,37 +10,27 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "ExperimentCli.h"
+
 #include "report/Experiments.h"
 #include "sim/Trigger.h"
-#include "support/CommandLine.h"
 #include "support/Table.h"
 #include "support/Units.h"
-#include "telemetry/TelemetryCli.h"
 
 #include <cstdio>
 #include <memory>
 
 using namespace dtb;
 
-int main(int Argc, char **Argv) {
+int dtb::bench::runAblationTriggerPolicy(ExperimentCli &Cli) {
   std::string WorkloadName = "ghost1";
-  OptionParser Parser("Fixed-interval vs heap-growth scavenge triggers "
-                      "under each boundary policy");
-  Parser.addString("workload", "Workload name", &WorkloadName);
-  telemetry::TelemetryOptions TelemetryOpts;
-  telemetry::addTelemetryOptions(Parser, &TelemetryOpts);
-  if (!Parser.parse(Argc, Argv))
-    return 1;
-  telemetry::TelemetrySession Telemetry(TelemetryOpts);
-  if (!Telemetry.valid())
+  Cli.Parser.addString("workload", "Workload name", &WorkloadName);
+  if (!Cli.parse())
     return 1;
 
-  const workload::WorkloadSpec *Spec = workload::findWorkload(WorkloadName);
-  if (!Spec) {
-    std::fprintf(stderr, "error: unknown workload '%s'\n",
-                 WorkloadName.c_str());
+  const workload::WorkloadSpec *Spec = lookupWorkload(WorkloadName);
+  if (!Spec)
     return 1;
-  }
   trace::Trace T = workload::generateTrace(*Spec);
 
   struct TriggerCase {

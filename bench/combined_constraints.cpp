@@ -17,13 +17,13 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "ExperimentCli.h"
+
 #include "core/Combinators.h"
 #include "report/Experiments.h"
-#include "support/CommandLine.h"
 #include "support/Table.h"
 #include "support/ThreadPool.h"
 #include "support/Units.h"
-#include "telemetry/TelemetryCli.h"
 
 #include <cstdio>
 #include <memory>
@@ -31,23 +31,13 @@
 
 using namespace dtb;
 
-int main(int Argc, char **Argv) {
+int dtb::bench::runCombinedConstraints(ExperimentCli &Cli) {
   uint64_t TraceMax = 50'000;
   uint64_t MemMax = 3'000'000;
-  uint64_t Threads = 0;
-  OptionParser Parser("Imposes the paper's memory and pause constraints "
-                      "simultaneously via policy composition");
-  Parser.addUInt("trace-max", "Pause budget in traced bytes", &TraceMax);
-  Parser.addUInt("mem-max", "Memory budget in bytes", &MemMax);
-  addThreadsOption(Parser, &Threads);
-  telemetry::TelemetryOptions TelemetryOpts;
-  telemetry::addTelemetryOptions(Parser, &TelemetryOpts);
-  if (!Parser.parse(Argc, Argv))
+  Cli.Parser.addUInt("trace-max", "Pause budget in traced bytes", &TraceMax);
+  Cli.Parser.addUInt("mem-max", "Memory budget in bytes", &MemMax);
+  if (!Cli.parse())
     return 1;
-  telemetry::TelemetrySession Telemetry(TelemetryOpts);
-  if (!Telemetry.valid())
-    return 1;
-  applyThreadsOption(Threads);
 
   core::MachineModel Machine;
   std::printf("Dual constraints: %.0f ms pauses AND %.0f KB memory\n\n",

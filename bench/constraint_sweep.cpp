@@ -14,40 +14,27 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "ExperimentCli.h"
+
 #include "report/Experiments.h"
-#include "support/CommandLine.h"
 #include "support/Table.h"
 #include "support/ThreadPool.h"
 #include "support/Units.h"
-#include "telemetry/TelemetryCli.h"
 
 #include <cstdio>
 #include <vector>
 
 using namespace dtb;
 
-int main(int Argc, char **Argv) {
+int dtb::bench::runConstraintSweep(ExperimentCli &Cli) {
   std::string WorkloadName = "ghost1";
-  uint64_t Threads = 0;
-  OptionParser Parser("Sweeps the pause and memory constraints to show "
-                      "how closely the DTB policies track them");
-  Parser.addString("workload", "Workload name", &WorkloadName);
-  addThreadsOption(Parser, &Threads);
-  telemetry::TelemetryOptions TelemetryOpts;
-  telemetry::addTelemetryOptions(Parser, &TelemetryOpts);
-  if (!Parser.parse(Argc, Argv))
+  Cli.Parser.addString("workload", "Workload name", &WorkloadName);
+  if (!Cli.parse())
     return 1;
-  telemetry::TelemetrySession Telemetry(TelemetryOpts);
-  if (!Telemetry.valid())
-    return 1;
-  applyThreadsOption(Threads);
 
-  const workload::WorkloadSpec *Spec = workload::findWorkload(WorkloadName);
-  if (!Spec) {
-    std::fprintf(stderr, "error: unknown workload '%s'\n",
-                 WorkloadName.c_str());
+  const workload::WorkloadSpec *Spec = lookupWorkload(WorkloadName);
+  if (!Spec)
     return 1;
-  }
   trace::Trace T = workload::generateTrace(*Spec);
 
   sim::SimulatorConfig SimConfig;

@@ -13,12 +13,11 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "ExperimentCli.h"
+
 #include "runtime/Heap.h"
 #include "runtime/HeapVerifier.h"
-
-#include "support/CommandLine.h"
 #include "support/Table.h"
-#include "telemetry/TelemetryCli.h"
 
 #include <cstdio>
 #include <map>
@@ -57,15 +56,8 @@ struct Fig1Heap {
 
 } // namespace
 
-int main(int Argc, char **Argv) {
-  OptionParser Parser("Walks the paper's Figure 1 object graph on the "
-                      "managed runtime");
-  telemetry::TelemetryOptions TelemetryOpts;
-  telemetry::addTelemetryOptions(Parser, &TelemetryOpts);
-  if (!Parser.parse(Argc, Argv))
-    return 1;
-  telemetry::TelemetrySession Telemetry(TelemetryOpts);
-  if (!Telemetry.valid())
+int dtb::bench::runFig1Nepotism(ExperimentCli &Cli) {
+  if (!Cli.parse())
     return 1;
 
   std::printf("Figure 1: Dynamic Threatening Boundary vs Generations\n");

@@ -11,11 +11,11 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "ExperimentCli.h"
+
 #include "report/Experiments.h"
-#include "support/CommandLine.h"
 #include "support/Units.h"
 #include "trace/TraceStats.h"
-#include "telemetry/TelemetryCli.h"
 
 #include <cstdio>
 #include <map>
@@ -42,31 +42,21 @@ std::vector<uint64_t> resample(const std::vector<sim::MemoryCurvePoint> &Curve,
 
 } // namespace
 
-int main(int Argc, char **Argv) {
+int dtb::bench::runFig2MemoryCurve(ExperimentCli &Cli) {
   std::string WorkloadName = "ghost1";
   uint64_t Points = 98;
   report::ExperimentConfig Config;
-  OptionParser Parser("Reproduces Figure 2: memory use over time for FULL "
-                      "vs the DTB collectors, with the live-byte floor");
-  Parser.addString("workload", "Workload name (ghost1, ghost2, espresso1, "
-                   "espresso2, sis, cfrac)", &WorkloadName);
-  Parser.addUInt("points", "Number of sample points", &Points);
-  Parser.addUInt("trigger", "Bytes allocated between scavenges",
-                 &Config.TriggerBytes);
-  telemetry::TelemetryOptions TelemetryOpts;
-  telemetry::addTelemetryOptions(Parser, &TelemetryOpts);
-  if (!Parser.parse(Argc, Argv))
-    return 1;
-  telemetry::TelemetrySession Telemetry(TelemetryOpts);
-  if (!Telemetry.valid())
+  Cli.Parser.addString("workload", "Workload name (ghost1, ghost2, "
+                       "espresso1, espresso2, sis, cfrac)", &WorkloadName);
+  Cli.Parser.addUInt("points", "Number of sample points", &Points);
+  Cli.Parser.addUInt("trigger", "Bytes allocated between scavenges",
+                     &Config.TriggerBytes);
+  if (!Cli.parse())
     return 1;
 
-  const workload::WorkloadSpec *Spec = workload::findWorkload(WorkloadName);
-  if (!Spec) {
-    std::fprintf(stderr, "error: unknown workload '%s'\n",
-                 WorkloadName.c_str());
+  const workload::WorkloadSpec *Spec = lookupWorkload(WorkloadName);
+  if (!Spec)
     return 1;
-  }
 
   trace::Trace T = workload::generateTrace(*Spec);
   std::vector<uint64_t> Live =

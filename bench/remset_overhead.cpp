@@ -13,36 +13,28 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "ExperimentCli.h"
+
 #include "sim/PointerTraffic.h"
-#include "support/CommandLine.h"
 #include "support/Table.h"
 #include "support/Units.h"
 #include "workload/Workload.h"
-#include "telemetry/TelemetryCli.h"
 
 #include <cstdio>
 
 using namespace dtb;
 
-int main(int Argc, char **Argv) {
+int dtb::bench::runRemsetOverhead(ExperimentCli &Cli) {
   double StoresPerKB = 8.0;
   double YoungBias = 0.8;
   uint64_t GenerationKB = 1'000;
-  OptionParser Parser("Measures unified (DTB) vs inter-generational "
-                      "remembered-set demand under synthetic pointer "
-                      "traffic (paper §4.2)");
-  Parser.addDouble("stores-per-kb", "Pointer stores per KB of allocation",
-                   &StoresPerKB);
-  Parser.addDouble("young-bias", "Probability an endpoint is drawn from "
-                   "the younger half of live objects", &YoungBias);
-  Parser.addUInt("generation-kb", "Classic generation boundary age (KB)",
-                 &GenerationKB);
-  telemetry::TelemetryOptions TelemetryOpts;
-  telemetry::addTelemetryOptions(Parser, &TelemetryOpts);
-  if (!Parser.parse(Argc, Argv))
-    return 1;
-  telemetry::TelemetrySession Telemetry(TelemetryOpts);
-  if (!Telemetry.valid())
+  Cli.Parser.addDouble("stores-per-kb",
+                       "Pointer stores per KB of allocation", &StoresPerKB);
+  Cli.Parser.addDouble("young-bias", "Probability an endpoint is drawn "
+                       "from the younger half of live objects", &YoungBias);
+  Cli.Parser.addUInt("generation-kb", "Classic generation boundary age (KB)",
+                     &GenerationKB);
+  if (!Cli.parse())
     return 1;
 
   std::printf("Remembered-set demand: unified (DTB) vs two-generation "

@@ -14,17 +14,15 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "ExperimentCli.h"
+
 #include "core/Policies.h"
-#include "report/BenchDriver.h"
 #include "report/GhostMutator.h"
 #include "runtime/Heap.h"
 #include "runtime/HeapVerifier.h"
-#include "support/CommandLine.h"
 #include "support/Statistics.h"
 #include "support/Table.h"
-#include "support/ThreadPool.h"
 #include "support/Units.h"
-#include "telemetry/TelemetryCli.h"
 
 #include <cstdio>
 #include <string>
@@ -33,59 +31,17 @@ using namespace dtb;
 using runtime::HandleScope;
 using runtime::Heap;
 
-namespace {
-
-/// --timing: wall-clock the two perf-critical paths — the parallel
-/// experiment engine versus a forced serial run, and the indexed
-/// heap-model queries versus the retained naive scans — and emit the
-/// measurements as a BENCH schema record on stdout. This is the bench
-/// driver's "timing" suite verbatim (bench_driver --suite timing is the
-/// long form with warmup and repeats); the old hand-rolled timing.*
-/// gauge emission is gone.
-int runTimingMode(uint64_t Threads) {
-  report::BenchDriverOptions Options;
-  Options.Suite = "timing";
-  Options.Threads = static_cast<unsigned>(Threads);
-  Options.Repeats = 1;
-  Options.Warmup = 0;
-
-  std::string Json = report::toJson(report::runBenchSuite(Options).Record);
-  std::fwrite(Json.data(), 1, Json.size(), stdout);
-  return 0;
-}
-
-} // namespace
-
-int main(int Argc, char **Argv) {
+int dtb::bench::runRuntimeEndToEnd(ExperimentCli &Cli) {
   uint64_t TotalBytes = 5'000'000; // ~GHOST(1) at 1/10 scale.
   uint64_t TriggerBytes = 100'000;
   uint64_t TraceMax = 12'000;  // Scaled pause budget with feedback headroom.
   uint64_t MemMax = 300'000;   // Paper's 3000 KB at 1/10.
-  uint64_t Threads = 0;
-  bool Timing = false;
-  OptionParser Parser("Runs the six collectors on the real managed "
-                      "runtime (no oracle) under a GHOST-like mutator");
-  Parser.addUInt("bytes", "Total allocation", &TotalBytes);
-  Parser.addUInt("trigger", "Bytes between collections", &TriggerBytes);
-  Parser.addUInt("trace-max", "Pause budget in traced bytes", &TraceMax);
-  Parser.addUInt("mem-max", "Memory budget in bytes", &MemMax);
-  Parser.addFlag("timing",
-                 "Emit a BENCH-schema record of the parallel experiment "
-                 "engine and indexed heap-model query speedups (the bench "
-                 "driver's timing suite, single repeat)",
-                 &Timing);
-  addThreadsOption(Parser, &Threads);
-  telemetry::TelemetryOptions TelemetryOpts;
-  telemetry::addTelemetryOptions(Parser, &TelemetryOpts);
-  if (!Parser.parse(Argc, Argv))
+  Cli.Parser.addUInt("bytes", "Total allocation", &TotalBytes);
+  Cli.Parser.addUInt("trigger", "Bytes between collections", &TriggerBytes);
+  Cli.Parser.addUInt("trace-max", "Pause budget in traced bytes", &TraceMax);
+  Cli.Parser.addUInt("mem-max", "Memory budget in bytes", &MemMax);
+  if (!Cli.parse())
     return 1;
-  telemetry::TelemetrySession Telemetry(TelemetryOpts);
-  if (!Telemetry.valid())
-    return 1;
-  applyThreadsOption(Threads);
-
-  if (Timing)
-    return runTimingMode(Threads);
 
   std::printf("End-to-end on the real runtime: %s allocation, %s trigger, "
               "budgets %s / %s\n\n",

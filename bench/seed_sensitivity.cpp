@@ -10,11 +10,10 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "ExperimentCli.h"
+
 #include "report/SeedSweep.h"
-#include "support/CommandLine.h"
 #include "support/Table.h"
-#include "support/ThreadPool.h"
-#include "telemetry/TelemetryCli.h"
 
 #include <cstdio>
 
@@ -30,21 +29,11 @@ std::string meanPlusMinus(const RunningStats &S, int Decimals = 0) {
 
 } // namespace
 
-int main(int Argc, char **Argv) {
+int dtb::bench::runSeedSensitivity(ExperimentCli &Cli) {
   uint64_t NumSeeds = 5;
-  uint64_t Threads = 0;
-  OptionParser Parser("Re-runs the paper grid across multiple workload "
-                      "seeds and reports metric distributions");
-  Parser.addUInt("seeds", "Number of seeds per workload", &NumSeeds);
-  addThreadsOption(Parser, &Threads);
-  telemetry::TelemetryOptions TelemetryOpts;
-  telemetry::addTelemetryOptions(Parser, &TelemetryOpts);
-  if (!Parser.parse(Argc, Argv))
+  Cli.Parser.addUInt("seeds", "Number of seeds per workload", &NumSeeds);
+  if (!Cli.parse())
     return 1;
-  telemetry::TelemetrySession Telemetry(TelemetryOpts);
-  if (!Telemetry.valid())
-    return 1;
-  applyThreadsOption(Threads);
 
   ExperimentConfig Config;
   SeedSweepResult Sweep =

@@ -10,33 +10,22 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "ExperimentCli.h"
+
 #include "report/Experiments.h"
 #include "report/PaperReference.h"
-#include "support/CommandLine.h"
-#include "support/ThreadPool.h"
 #include "support/Units.h"
-#include "telemetry/TelemetryCli.h"
 
 #include <cstdio>
 
 using namespace dtb;
 
-int main(int Argc, char **Argv) {
+int dtb::bench::runTable56Workloads(ExperimentCli &Cli) {
   bool Csv = false;
   report::ExperimentConfig Config;
-  uint64_t Threads = 0;
-  OptionParser Parser("Reproduces Tables 5/6: workload allocation "
-                      "behaviour and baselines");
-  Parser.addFlag("csv", "Emit CSV instead of aligned text", &Csv);
-  addThreadsOption(Parser, &Threads);
-  telemetry::TelemetryOptions TelemetryOpts;
-  telemetry::addTelemetryOptions(Parser, &TelemetryOpts);
-  if (!Parser.parse(Argc, Argv))
+  Cli.Parser.addFlag("csv", "Emit CSV instead of aligned text", &Csv);
+  if (!Cli.parse())
     return 1;
-  telemetry::TelemetrySession Telemetry(TelemetryOpts);
-  if (!Telemetry.valid())
-    return 1;
-  applyThreadsOption(Threads);
 
   report::ExperimentGrid Grid = report::ExperimentGrid::paperGrid(Config);
 

@@ -519,63 +519,6 @@ void runMutatorObservabilityStage(BenchRecord &Record) {
 }
 
 //===----------------------------------------------------------------------===//
-// Micro stage (wall-only hot-path loops)
-//===----------------------------------------------------------------------===//
-
-runtime::HeapConfig manualHeapConfig() {
-  runtime::HeapConfig Config;
-  Config.TriggerBytes = 0; // Collections driven manually.
-  return Config;
-}
-
-/// Wall samples converted to nanoseconds per operation.
-std::vector<double> measureWallPerOp(const BenchDriverOptions &Options,
-                                     size_t Ops,
-                                     const std::function<void()> &Fn) {
-  std::vector<double> Samples = measureWall(Options, Fn);
-  for (double &S : Samples)
-    S = S * 1e9 / static_cast<double>(Ops);
-  return Samples;
-}
-
-/// Driver-resident counterparts of bench/runtime_micro's hottest loops,
-/// reported as wall ns/op so BENCH records track the raw runtime paths
-/// without a google-benchmark dependency in the library.
-void runMicroStage(const BenchDriverOptions &Options, BenchRecord &Record) {
-  constexpr size_t AllocOps = 100'000;
-  Record.addWall("wall/micro/allocate_ns_per_op", "ns",
-                 measureWallPerOp(Options, AllocOps, [] {
-                   runtime::Heap H(manualHeapConfig());
-                   for (size_t I = 0; I != AllocOps; ++I)
-                     H.allocate(2, 16);
-                 }));
-
-  constexpr size_t BarrierOps = 1'000'000;
-  Record.addWall("wall/micro/write_barrier_backward_ns_per_op", "ns",
-                 measureWallPerOp(Options, BarrierOps, [] {
-                   runtime::Heap H(manualHeapConfig());
-                   runtime::Object *Old = H.allocate(1);
-                   runtime::Object *Young = H.allocate(1);
-                   for (size_t I = 0; I != BarrierOps; ++I)
-                     H.writeSlot(Young, 0, Old);
-                 }));
-
-  Record.addWall("wall/micro/scavenge_full_boundary_seconds", "seconds",
-                 measureWall(Options, [] {
-                   runtime::Heap H(manualHeapConfig());
-                   runtime::HandleScope Scope(H);
-                   runtime::Object *&Head = Scope.slot(nullptr);
-                   for (size_t I = 0; I != 10'000; ++I) {
-                     runtime::Object *Node = H.allocate(1, 16);
-                     H.writeSlot(Node, 0, Head);
-                     Head = Node;
-                     H.allocate(0, 16); // Garbage sibling.
-                   }
-                   H.collectAtBoundary(0);
-                 }));
-}
-
-//===----------------------------------------------------------------------===//
 // Trace-speedup stage (parallel scavenge wall measurement)
 //===----------------------------------------------------------------------===//
 
@@ -604,9 +547,10 @@ void runTraceSpeedupStage(const BenchDriverOptions &Options, unsigned Lanes,
   constexpr size_t Chains = 2'048;
   constexpr size_t Depth = 128;
 
-  runtime::HeapConfig SerialConfig = manualHeapConfig();
+  runtime::HeapConfig SerialConfig;
+  SerialConfig.TriggerBytes = 0; // Collections driven manually.
   SerialConfig.TraceThreads = 1;
-  runtime::HeapConfig ParallelConfig = manualHeapConfig();
+  runtime::HeapConfig ParallelConfig = SerialConfig;
   ParallelConfig.TraceThreads = Lanes;
   runtime::Heap Serial(SerialConfig), Parallel(ParallelConfig);
   runtime::HandleScope SerialScope(Serial), ParallelScope(Parallel);
@@ -637,13 +581,12 @@ void runTraceSpeedupStage(const BenchDriverOptions &Options, unsigned Lanes,
 }
 
 //===----------------------------------------------------------------------===//
-// Timing stage (formerly runtime_end_to_end --timing)
+// Timing stage
 //===----------------------------------------------------------------------===//
 
-/// The parallel-engine and indexed-heap-query speedups: the measurements
-/// runtime_end_to_end --timing published as timing.* gauges before the
-/// BENCH schema existed. Speedups are recorded per repeat (paired ratio),
-/// so their MAD reflects the run-to-run noise of the ratio itself.
+/// The parallel-engine and indexed-heap-query speedups. Speedups are
+/// recorded per repeat (paired ratio), so their MAD reflects the
+/// run-to-run noise of the ratio itself.
 void runTimingStage(const BenchDriverOptions &Options, unsigned Lanes,
                     BenchRecord &Record) {
   // Grid: parallel vs. forced-serial paper grid.
@@ -794,7 +737,6 @@ BenchSuiteResult dtb::report::runBenchSuite(const BenchDriverOptions &Options) {
                      measureWall(Options, [&] {
                        runRuntimePolicies(FullRuntime, 1, nullptr, nullptr);
                      }));
-      runMicroStage(Options, Record);
       runTraceSpeedupStage(Options, TraceLanes, Record);
     }
     addProfileToRecord(Runtime, "runtime", Record);

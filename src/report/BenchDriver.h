@@ -22,12 +22,10 @@
 ///             smoke gate (sub-second deterministic pass).
 ///  * paper  — the full Table 2/3/4 workload×policy grid + the
 ///             runtime_end_to_end-scale runtime run.
-///  * runtime— the runtime run plus hot-path micro loops (allocation,
-///             write barrier, boundary scavenge), the driver-resident
-///             counterpart of bench/runtime_micro.
-///  * timing — the parallel-engine and indexed-heap-query speedups that
-///             runtime_end_to_end --timing used to emit as timing.*
-///             gauges, now in the BENCH schema.
+///  * runtime— the runtime run plus the wall-clock speedup of a trace
+///             over TraceLanes lanes against a serial one.
+///  * timing — the parallel-engine and indexed-heap-query speedups; the
+///             indexed and scan heap-query runs must agree exactly.
 ///  * server — the serverload scenario catalog (serverload/ServerLoad.h)
 ///             under every paper policy, emitting the tail families the
 ///             server story gates: pause p50/p99/p99.9 and

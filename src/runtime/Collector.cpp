@@ -299,21 +299,13 @@ void Heap::seedMarkSweepRoots(AllocClock Boundary, AllocClock BlackClock,
   {
     profiling::ProfilePhase Phase(&Profiler, profiling::phase::RootScan);
     uint64_t Before = Work.TracedBytes;
-    for (Object **Root : GlobalRoots)
-      markThreatened(*Root, Boundary, BlackClock, Gray, Work);
-    for (Object *Handle : HandleSlots)
-      markThreatened(Handle, Boundary, BlackClock, Gray, Work);
     // Pinned objects survive unconditionally: threatened ones are marked
     // (and traced) here; immune ones are untouchable anyway, and their
     // forward-in-time pointers are covered by the remembered set like any
     // other immune object's.
-    for (Object *PinnedObject : Pinned)
-      markThreatened(PinnedObject, Boundary, BlackClock, Gray, Work);
-    // Per-context root slots, in registration order (the world is
-    // stopped, so the slots are stable).
-    for (MutatorContext *Ctx : Mutators)
-      for (Object *Root : Ctx->Roots)
-        markThreatened(Root, Boundary, BlackClock, Gray, Work);
+    forEachRoot([&](Object *Root) {
+      markThreatened(Root, Boundary, BlackClock, Gray, Work);
+    });
     Phase.addCost(Work.TracedBytes - Before);
   }
 
@@ -466,12 +458,12 @@ uint64_t Heap::traceMarkSweepQuantum(AllocClock Boundary,
                        std::to_string(Config.QuantumDeadlineMillis) +
                        " ms); budget halved to " +
                        std::to_string(EffectiveBudgetBytes);
-  if (!WatchdogSerial && Config.WatchdogMaxConsecutive != 0 &&
-      WatchdogConsecutive >= Config.WatchdogMaxConsecutive) {
-    // K consecutive violations: the parallel fan-out itself is suspect
-    // (steal storms, cache pressure); degrade to a single shared cursor
-    // for the rest of the collection. Results are bit-identical — only
-    // scheduling changes — so this is safe to do deterministically.
+  // K consecutive violations: the parallel fan-out itself is suspect
+  // (steal storms, cache pressure); degrade to a single shared cursor
+  // for the rest of the collection. Results are bit-identical — only
+  // scheduling changes — so this is safe to do deterministically.
+  constexpr unsigned WatchdogMaxConsecutive = 3;
+  if (!WatchdogSerial && WatchdogConsecutive >= WatchdogMaxConsecutive) {
     WatchdogSerial = true;
     Detail += "; degrading to serial shared-cursor tracing";
   }
@@ -611,17 +603,9 @@ bool Heap::incrementalScavengeStep() {
     for (Object *O : Inc.PendingGray)
       markThreatened(O, Inc.Boundary, Inc.BlackClock, Inc.Gray, Inc.Work);
     Inc.PendingGray.clear();
-    for (Object **Root : GlobalRoots)
-      markThreatened(*Root, Inc.Boundary, Inc.BlackClock, Inc.Gray, Inc.Work);
-    for (Object *Handle : HandleSlots)
-      markThreatened(Handle, Inc.Boundary, Inc.BlackClock, Inc.Gray, Inc.Work);
-    for (Object *PinnedObject : Pinned)
-      markThreatened(PinnedObject, Inc.Boundary, Inc.BlackClock, Inc.Gray,
-                     Inc.Work);
-    for (MutatorContext *Ctx : Mutators)
-      for (Object *Root : Ctx->Roots)
-        markThreatened(Root, Inc.Boundary, Inc.BlackClock, Inc.Gray,
-                       Inc.Work);
+    forEachRoot([&](Object *Root) {
+      markThreatened(Root, Inc.Boundary, Inc.BlackClock, Inc.Gray, Inc.Work);
+    });
     Phase.addCost(Inc.Work.TracedBytes - Before);
   }
 

@@ -168,21 +168,10 @@ Heap::ScavengeWork Heap::runCopying(AllocClock Boundary) {
   {
     profiling::ProfilePhase Phase(&Profiler, profiling::phase::RootScan);
     uint64_t Before = Work.TracedBytes;
-    for (Object **Root : GlobalRoots)
-      if (isThreatened(*Root))
-        *Root = relocate(*Root, Lanes.serialLane());
-    for (Object *&Handle : HandleSlots)
-      if (isThreatened(Handle))
-        Handle = relocate(Handle, Lanes.serialLane());
-    for (Object *PinnedObject : Pinned)
-      if (isThreatened(PinnedObject))
-        relocate(PinnedObject, Lanes.serialLane()); // In place; no move.
-    // Per-context root slots are updated in place, exactly like handles
-    // (the world is stopped, so the slots are stable).
-    for (MutatorContext *Ctx : Mutators)
-      for (Object *&Root : Ctx->Roots)
-        if (isThreatened(Root))
-          Root = relocate(Root, Lanes.serialLane());
+    forEachRoot([&](Object *&Root) {
+      if (isThreatened(Root))
+        Root = relocate(Root, Lanes.serialLane());
+    });
     drainTraceLanes(Lanes, Gray, Work);
     Phase.addCost(Work.TracedBytes - Before);
   }

@@ -130,10 +130,11 @@ bool Heap::runPressureLadder(uint64_t Gross, const char *Why) {
   if (Inc.Active && !InCollection) {
     // Rung i1: accelerate — run extra quanta on the open cycle right now.
     // The cheapest response: the cycle may be a few quanta from sweeping
-    // the garbage that relieves the pressure.
+    // the garbage that relieves the pressure. Then complete-now/abort.
+    constexpr unsigned PressureAccelerateQuanta = 4;
     size_t RecordsBefore = History.size();
     unsigned Extra = 0;
-    while (Extra != Config.PressureAccelerateQuanta && Inc.Active) {
+    while (Extra != PressureAccelerateQuanta && Inc.Active) {
       ++Extra;
       if (incrementalScavengeStep())
         break;

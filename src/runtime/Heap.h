@@ -142,20 +142,6 @@ struct HeapConfig {
   /// observed only as quarantined `wall.` telemetry — violations and
   /// their responses are fully deterministic.
   double QuantumDeadlineMillis = 0.0;
-  /// Consecutive watchdog violations after which the trace degrades to a
-  /// serial shared cursor (every lane contends on one cursor, no private
-  /// child buffers) for the remainder of the collection. Results stay
-  /// bit-identical; only scheduling changes.
-  unsigned WatchdogMaxConsecutive = 3;
-  /// Mid-cycle pressure rung i1: maximum extra incremental quanta
-  /// tryAllocate runs on an open cycle before escalating to
-  /// complete-now/abort.
-  unsigned PressureAccelerateQuanta = 4;
-  /// Size of the bump-pointer blocks MutatorContext carves under the
-  /// refill lock (runtime/Mutator.h). Objects whose gross size exceeds a
-  /// quarter of this get dedicated storage instead of a TLAB slice. Does
-  /// not affect the direct (context-free) allocation path.
-  uint32_t TlabBytes = 32 * 1024;
 };
 
 /// Counters describing one runtime collection beyond the policy-visible
@@ -582,6 +568,11 @@ private:
   /// pool (*PoolIsPrivate reports which) reused across collections.
   ThreadPool *tracePoolFor(bool *PoolIsPrivate);
 
+  /// Calls \p Visit(Object *&) on every root slot in the order every
+  /// collector scans them: global roots, handle slots, pinned objects,
+  /// then each context's roots in registration order. World stopped, so
+  /// the slots are stable. Defined in runtime/Mutator.h.
+  template <typename Fn> void forEachRoot(Fn &&Visit);
   /// Marks \p O if it is threatened, unmarked, and born at or before
   /// \p BlackClock; accounts it and pushes it on \p Gray. Serial phases
   /// only (root/remset scans and barrier-grey replay).

@@ -3,6 +3,7 @@
 #include "runtime/HeapDump.h"
 
 #include "runtime/Heap.h"
+#include "runtime/HeapVerifier.h"
 #include "runtime/Mutator.h"
 
 #include <algorithm>
@@ -13,33 +14,6 @@ using namespace dtb::runtime;
 using core::AllocClock;
 
 namespace {
-
-/// Reachability set from the heap's roots (same traversal contract as the
-/// verifier, minus diagnostics).
-std::unordered_set<const Object *> reachableSet(const Heap &H) {
-  std::unordered_set<const Object *> Reachable;
-  std::vector<const Object *> Worklist;
-  auto Visit = [&](const Object *O) {
-    if (O && O->isAlive() && Reachable.insert(O).second)
-      Worklist.push_back(O);
-  };
-  for (Object *const *Root : H.globalRoots())
-    Visit(*Root);
-  for (const Object *Handle : H.handleSlots())
-    Visit(Handle);
-  for (const Object *PinnedObject : H.pinnedObjects())
-    Visit(PinnedObject);
-  for (const MutatorContext *Ctx : H.mutatorContexts())
-    for (const Object *Root : Ctx->roots())
-      Visit(Root);
-  while (!Worklist.empty()) {
-    const Object *O = Worklist.back();
-    Worklist.pop_back();
-    for (uint32_t I = 0, E = O->numSlots(); I != E; ++I)
-      Visit(O->slot(I));
-  }
-  return Reachable;
-}
 
 size_t bandIndexForAge(AllocClock Age, AllocClock Base, size_t NumBands) {
   AllocClock Hi = Base;
@@ -77,7 +51,7 @@ dtb::runtime::collectDemographics(const Heap &H, AllocClock BaseAgeBytes) {
     Width *= 2;
   }
 
-  std::unordered_set<const Object *> Reachable = reachableSet(H);
+  std::unordered_set<const Object *> Reachable = reachableObjects(H);
   for (const Object *O : H.objects()) {
     AllocClock Age = H.now() - O->birth();
     AgeBand &Band =

@@ -179,6 +179,11 @@ VerifyResult dtb::runtime::verifyHeap(const Heap &H) {
   return Result;
 }
 
+std::unordered_set<const Object *>
+dtb::runtime::reachableObjects(const Heap &H) {
+  return computeReachable(H, nullptr);
+}
+
 uint64_t dtb::runtime::reachableBytes(const Heap &H) {
   uint64_t Bytes = 0;
   for (const Object *O : computeReachable(H, nullptr))

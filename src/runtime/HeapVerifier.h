@@ -23,12 +23,14 @@
 #define DTB_RUNTIME_HEAPVERIFIER_H
 
 #include <string>
+#include <unordered_set>
 #include <vector>
 
 namespace dtb {
 namespace runtime {
 
 class Heap;
+class Object;
 
 /// Outcome of a verification pass.
 struct VerifyResult {
@@ -45,7 +47,11 @@ struct VerifyResult {
 /// tests, not production pauses.
 VerifyResult verifyHeap(const Heap &H);
 
-/// Computes the exact live (reachable) bytes of \p H by an independent
+/// The objects reachable from \p H's roots, by an independent traversal
+/// that does not share the collectors' root enumeration.
+std::unordered_set<const Object *> reachableObjects(const Heap &H);
+
+/// Computes the exact live (reachable) bytes of \p H by the same
 /// traversal — what a FULL collection would keep.
 uint64_t reachableBytes(const Heap &H);
 

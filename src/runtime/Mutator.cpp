@@ -593,7 +593,7 @@ Object *MutatorContext::allocateInOp(uint32_t NumSlots, uint32_t RawBytes) {
   // dedicated storage gets it from operator new).
   uint64_t Need = (Gross + 7) & ~uint64_t(7);
   Object *O;
-  if (Need * 4 > H.Config.TlabBytes) {
+  if (Need * 4 > TlabBytes) {
     O = allocateHumongous(Gross, NumSlots, RawBytes);
   } else {
     if (!Tlab || static_cast<uint64_t>(Tlab->End - Tlab->Cursor) < Need)
@@ -654,7 +654,7 @@ void MutatorContext::refillTlab(uint64_t Need) {
 #endif
     H.retireTlab(Tlab);
   }
-  uint64_t Bytes = std::max<uint64_t>(H.Config.TlabBytes, Need);
+  uint64_t Bytes = std::max<uint64_t>(TlabBytes, Need);
   Tlab = H.carveTlab(Bytes);
   S.TlabRefills += 1;
 #if DTB_TELEMETRY

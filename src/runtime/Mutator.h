@@ -162,6 +162,10 @@ private:
   friend class Heap;
 
   static constexpr size_t BarrierFlushThreshold = 64;
+  /// Size of the bump-pointer blocks a context carves under the refill
+  /// lock. Objects whose gross size exceeds a quarter of this get
+  /// dedicated storage instead of a TLAB slice.
+  static constexpr uint32_t TlabBytes = 32 * 1024;
 
   /// Enters the Mutating state; blocks while a rendezvous is open (unless
   /// this thread owns the stopped world — safepoint callbacks drive
@@ -198,6 +202,19 @@ private:
   std::deque<Object *> Roots;
   Stats S;
 };
+
+template <typename Fn> void Heap::forEachRoot(Fn &&Visit) {
+  for (Object **Root : GlobalRoots)
+    Visit(*Root);
+  for (Object *&Handle : HandleSlots)
+    Visit(Handle);
+  // Pinned objects never move, so a write back to their slot is a no-op.
+  for (Object *&PinnedObject : Pinned)
+    Visit(PinnedObject);
+  for (MutatorContext *Ctx : Mutators)
+    for (Object *&Root : Ctx->Roots)
+      Visit(Root);
+}
 
 } // namespace runtime
 } // namespace dtb

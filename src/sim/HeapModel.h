@@ -85,7 +85,7 @@ public:
     /// Incremental Fenwick/death-queue indexes (the default).
     Indexed,
     /// The original O(residents) scans, with no index maintenance at all —
-    /// kept for benchmark baselines (bench/runtime_end_to_end --timing).
+    /// kept for benchmark baselines (bench_driver --suite timing).
     Scan,
   };
 

@@ -80,8 +80,8 @@ struct SimulatorConfig {
   uint64_t CurveSampleBytes = 100'000;
   /// When true, the heap model answers oracle queries with the original
   /// O(residents) scans instead of the incremental indexes — the timing
-  /// baseline for bench/runtime_end_to_end --timing. Results are
-  /// identical either way.
+  /// baseline for bench_driver --suite timing. Results are identical
+  /// either way.
   bool UseNaiveHeapQueries = false;
   /// When true, every indexed heap-model query is cross-checked against
   /// the naive scan (fatal on divergence). For tests; very slow.

@@ -12,12 +12,13 @@
 using namespace dtb;
 
 bool dtb::parseScaledUInt(const std::string &Text, uint64_t *Out) {
-  if (Text.empty())
+  // strtoull alone would accept leading space and a sign ("-1" negates).
+  if (Text.empty() || !std::isdigit(static_cast<unsigned char>(Text[0])))
     return false;
   char *End = nullptr;
   errno = 0;
   unsigned long long Value = std::strtoull(Text.c_str(), &End, 10);
-  if (errno != 0 || End == Text.c_str())
+  if (errno != 0)
     return false;
   uint64_t Scale = 1;
   if (*End != '\0') {
@@ -34,7 +35,7 @@ bool dtb::parseScaledUInt(const std::string &Text, uint64_t *Out) {
     default:
       return false;
     }
-    if (End[1] != '\0')
+    if (End[1] != '\0' || Value > UINT64_MAX / Scale)
       return false;
   }
   *Out = static_cast<uint64_t>(Value) * Scale;

@@ -68,7 +68,7 @@ private:
 };
 
 /// Parses "123", "64k", "1m", "2g" style sizes; returns false on malformed
-/// input.
+/// input, including a sign, leading space, or a size above UINT64_MAX.
 bool parseScaledUInt(const std::string &Text, uint64_t *Out);
 
 } // namespace dtb

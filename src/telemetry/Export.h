@@ -67,8 +67,8 @@ Table buildEventSummaryTable(const std::vector<Event> &Events,
 Table buildMetricsTable(const std::vector<MetricSample> &Metrics,
                         const ExportOptions &Options);
 
-/// Flat JSON object {"metrics": {name: value | {histogram...}}}. The
-/// machine-readable form runtime_end_to_end --timing emits.
+/// Flat JSON object {"metrics": {name: value | {histogram...}}}: a
+/// registry snapshot in machine-readable form.
 void writeMetricsJson(const std::vector<MetricSample> &Metrics,
                       const ExportOptions &Options, std::FILE *Out);
 

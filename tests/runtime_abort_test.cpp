@@ -332,7 +332,6 @@ TEST(WatchdogTest, ConsecutiveViolationsDegradeToSerialTracing) {
   Config.ScavengeBudgetBytes = 500;
   Config.QuantumDeadlineMillis =
       core::MachineModel().pauseMillisForTracedBytes(32);
-  Config.WatchdogMaxConsecutive = 3;
   Heap H(Config);
   HandleScope Scope(H);
   buildWorkload(H, Scope);

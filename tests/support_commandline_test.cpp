@@ -39,6 +39,9 @@ TEST(ParseScaledUIntTest, RejectsMalformed) {
   EXPECT_FALSE(parseScaledUInt("abc", &V));
   EXPECT_FALSE(parseScaledUInt("12q", &V));
   EXPECT_FALSE(parseScaledUInt("1kk", &V));
+  EXPECT_FALSE(parseScaledUInt("-1", &V));
+  EXPECT_FALSE(parseScaledUInt(" 5", &V));
+  EXPECT_FALSE(parseScaledUInt("20000000000g", &V));
 }
 
 TEST(OptionParserTest, EqualsAndSpaceForms) {
