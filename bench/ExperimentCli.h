@@ -38,9 +38,10 @@ public:
   ExperimentCli(const char *Description, bool TakesThreads, int Argc,
                 const char *const *Argv);
 
-  /// Registers --threads and the telemetry options, parses, opens the
-  /// telemetry session and installs the thread count. False means a
-  /// diagnostic or help text was printed and the experiment exits 1.
+  /// Registers --threads and the telemetry options, parses (experiments
+  /// take no positional arguments), opens the telemetry session and
+  /// installs the thread count. False means a diagnostic or help text was
+  /// printed and the experiment exits 1.
   bool parse();
 
   std::string_view name() const { return Argv[0]; }

@@ -67,6 +67,7 @@ int main(int Argc, char **Argv) {
                  "(0 = follow --threads, 1 = serial)",
                  &TraceLanes);
   addThreadsOption(Parser, &Threads);
+  Parser.rejectPositionals();
   if (!Parser.parse(Argc, Argv))
     return 1;
   applyThreadsOption(Threads);

@@ -212,6 +212,7 @@ int main(int Argc, char **Argv) {
                  "Self-test: boundary advance in bytes (0 = trigger/2)",
                  &MutateDelta);
   addThreadsOption(Parser, &Threads);
+  Parser.rejectPositionals();
   if (!Parser.parse(Argc, Argv))
     return 1;
   applyThreadsOption(Threads);

@@ -93,6 +93,7 @@ bool ExperimentCli::parse() {
   if (TakesThreads)
     addThreadsOption(Parser, &Threads);
   telemetry::addTelemetryOptions(Parser, &TelemetryOpts);
+  Parser.rejectPositionals();
   if (!Parser.parse(Argc, Argv))
     return false;
   Telemetry.emplace(TelemetryOpts);

@@ -1,10 +1,11 @@
 # SanitizeSmoke.cmake — script mode (cmake -P) driver for the
 # asan_ubsan_smoke ctest. Configures a nested build tree with
 # DTB_SANITIZE=address,undefined, builds the robustness-critical test
-# binaries (chaos mutator, OOM degradation ladder, trace fuzzing), and
-# runs them with sanitizer halting enabled, so memory or UB bugs on the
-# degradation paths fail the smoke test even when the uninstrumented
-# suite passes.
+# binaries (chaos mutator, OOM degradation ladder, trace fuzzing, and the
+# copying collector, whose bump blocks are freed whole), and runs them
+# with sanitizer halting enabled, so memory or UB bugs on the degradation
+# paths, or a block freed while in use or leaked, fail the smoke test
+# even when the uninstrumented suite passes.
 #
 # Usage: cmake -DSOURCE_DIR=<repo> -DBUILD_DIR=<scratch> -P SanitizeSmoke.cmake
 
@@ -15,6 +16,7 @@ endif()
 
 set(smokeTargets
   runtime_chaos_test
+  runtime_copying_test
   runtime_oom_ladder_test
   trace_io_fuzz_test
   support_faultinjector_test)

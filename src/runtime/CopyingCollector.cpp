@@ -6,11 +6,13 @@
 // fresh storage (Cheney-style, with an explicit forwarding table) and
 // every original in the threatened region is released at once — the
 // paper's "reclaiming all the storage at once in the case of a copying
-// collector". Immune objects never move; pinned threatened objects are
-// traced in place. References into the threatened region are updated in
-// the global roots, handle slots, evacuated copies, and — for immune
-// objects — exactly the remembered-set entries, which by construction
-// cover every immune→threatened pointer.
+// collector". Copies are bumped into per-lane 32 KB blocks, and the
+// release counts each original out of its block, so a block is freed
+// whole once nothing in it is live. Immune objects never move; pinned
+// threatened objects are traced in place. References into the threatened
+// region are updated in the global roots, handle slots, evacuated copies,
+// and — for immune objects — exactly the remembered-set entries, which by
+// construction cover every immune→threatened pointer.
 //
 // Births travel with the copies, so the birth-ordered allocation list is
 // rebuilt by substituting forwarded addresses in place: the collector
@@ -85,6 +87,20 @@ Heap::ScavengeWork Heap::runCopying(AllocClock Boundary) {
     return O && O->birth() > Boundary;
   };
 
+  bool PoolIsPrivate = false;
+  ThreadPool *Pool = tracePoolFor(&PoolIsPrivate);
+  TraceLaneSet Lanes(Pool, PoolIsPrivate);
+  if (Profiler.active())
+    for (unsigned I = 0; I != Lanes.numLanes(); ++I)
+      Lanes.lane(I).Profiler.setEnabled(true);
+  // Each lane bumps its copies into its own evacuation block (indexed like
+  // the lane set's lanes), so lanes share no cursor; a lane carves a
+  // successor under the refill lock when its block fills.
+  std::vector<TlabBlock *> LaneBlocks(Lanes.numLanes(), nullptr);
+  auto laneBlock = [&](TraceLane &Lane) -> TlabBlock *& {
+    return LaneBlocks[static_cast<size_t>(&Lane - &Lanes.lane(0))];
+  };
+
   // Evacuates a threatened object (or visits it in place when pinned) and
   // returns its post-collection address. Safe from any lane: the claim
   // bit admits exactly one winner, losers wait for the winner's publish.
@@ -111,17 +127,20 @@ Heap::ScavengeWork Heap::runCopying(AllocClock Boundary) {
       Slot.store(O, std::memory_order_release);
       return O;
     }
-    // Clone: identical header (birth included) and payload. The header is
-    // copied field by field rather than memcpy'd — losing lanes may still
-    // be doing atomic claim RMWs on the original's flag byte, and a plain
-    // whole-header read would race with them.
-    void *Memory = ::operator new(O->grossBytes());
+    // Clone: identical header (birth included) and payload, bumped into
+    // the lane's evacuation block unless the object is over the block
+    // size rule. The header is copied field by field rather than memcpy'd
+    // — losing lanes may still be doing atomic claim RMWs on the
+    // original's flag byte, and a plain whole-header read would race with
+    // them.
+    uint64_t Need = blockFootprint(O->grossBytes());
+    bool InBlock = fitsBlock(Need);
+    void *Memory = InBlock ? bumpBlock(laneBlock(Lane), Need)
+                           : ::operator new(O->grossBytes());
     Object *Copy = reinterpret_cast<Object *>(Memory);
     Copy->Magic = Object::MagicAlive;
     Copy->Flags = 0;
-    // Copies always get dedicated storage, even when the original lived
-    // inside a TLAB block.
-    Copy->Storage = Object::StorageOwn;
+    Copy->Storage = InBlock ? Object::StorageTlab : Object::StorageOwn;
     Copy->NumSlots = O->NumSlots;
     Copy->RawBytes = O->RawBytes;
     Copy->GrossBytes = O->GrossBytes;
@@ -151,12 +170,6 @@ Heap::ScavengeWork Heap::runCopying(AllocClock Boundary) {
     }
   };
 
-  bool PoolIsPrivate = false;
-  ThreadPool *Pool = tracePoolFor(&PoolIsPrivate);
-  TraceLaneSet Lanes(Pool, PoolIsPrivate);
-  if (Profiler.active())
-    for (unsigned I = 0; I != Lanes.numLanes(); ++I)
-      Lanes.lane(I).Profiler.setEnabled(true);
   std::vector<Object *> Gray;
 
   // --- Roots ------------------------------------------------------------
@@ -286,32 +299,11 @@ Heap::ScavengeWork Heap::runCopying(AllocClock Boundary) {
     Objects.resize(Out);
     Phase.addCost(Work.ReclaimedBytes);
   }
-  return Work;
-}
 
-void Heap::releaseStorage(Object *O) {
-  O->Magic = Object::MagicDead;
-  if (Config.QuarantineFreedObjects) {
-    // TLAB-interior objects quarantine like any other (their block then
-    // simply never drains to zero, so it stays resident — quarantine mode
-    // is monotonic either way).
-    std::memset(O->rawData(), 0xDB, O->rawBytes());
-    for (uint32_t I = 0; I != O->numSlots(); ++I)
-      O->setSlotRaw(I, nullptr);
-    Quarantine.push_back(O);
-    return;
-  }
-  if (O->storageKind() == Object::StorageTlab) {
-    // The object shares its TLAB block's storage: the block is freed only
-    // when its last object dies after the owning context retired it.
-    // Sweeps run world-stopped, so the block table is stable here.
-    TlabBlock *Block = tlabBlockFor(O);
-    DTB_CHECK(Block, "TLAB-interior object outside every block");
-    DTB_CHECK(Block->LiveObjects != 0, "TLAB block live-count underflow");
-    Block->LiveObjects -= 1;
-    if (Block->Retired && Block->LiveObjects == 0)
-      freeTlabBlock(Block);
-    return;
-  }
-  ::operator delete(static_cast<void *>(O));
+  // The lanes' evacuation blocks take no more copies; each is freed once
+  // its last copy has moved on or died.
+  for (TlabBlock *Block : LaneBlocks)
+    if (Block)
+      retireTlab(Block);
+  return Work;
 }

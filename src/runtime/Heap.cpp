@@ -2,6 +2,7 @@
 
 #include "runtime/Heap.h"
 
+#include "runtime/Mutator.h"
 #include "support/Error.h"
 #include "support/FaultInjector.h"
 #include "support/ThreadPool.h"
@@ -29,7 +30,7 @@ Heap::~Heap() {
   DTB_CHECK(Mutators.empty(),
             "destroying a heap with registered mutator contexts; destroy "
             "every MutatorContext first");
-  // TLAB-interior objects share their block's storage; only dedicated
+  // Block-interior objects share their block's storage; only dedicated
   // allocations are released individually.
   for (Object *O : Objects)
     if (O->storageKind() == Object::StorageOwn)
@@ -218,14 +219,12 @@ Object *Heap::tryAllocate(uint32_t NumSlots, uint32_t RawBytes) {
                        "degradation ladder exhausted"});
     return nullptr;
   }
-  void *Memory = ::operator new(Gross);
-  std::memset(Memory, 0, Gross);
-
-  Object *O = new (Memory) Object();
-  O->Magic = Object::MagicAlive;
-  O->NumSlots = NumSlots;
-  O->RawBytes = RawBytes;
-  O->GrossBytes = static_cast<uint32_t>(Gross);
+  // A copying heap bump-allocates into its own block, which evacuation
+  // empties and frees whole. A mark-sweep heap would empty a block only
+  // when the block's last object died, so it keeps dedicated storage.
+  Object *O = newObject(
+      Config.Collector == CollectorKind::Copying ? &DirectBlock : nullptr,
+      /*Owner=*/nullptr, NumSlots, RawBytes, Gross);
 
   Clock += Gross;
   O->Birth = Clock;
@@ -451,10 +450,144 @@ core::ScavengeRecord Heap::collect() {
 
 void Heap::reclaimObject(Object *O) {
   RemSet.removeSource(O);
-  // releaseStorage (CopyingCollector.cpp) poisons the payload in
-  // quarantine mode so any use-after-free is glaring, while keeping the
-  // storage so stale pointers can be detected via the canary.
+  // releaseStorage poisons the payload in quarantine mode so any
+  // use-after-free is glaring, while keeping the storage so stale
+  // pointers can be detected via the canary.
   releaseStorage(O);
+}
+
+//===----------------------------------------------------------------------===//
+// Bump blocks and object storage
+//===----------------------------------------------------------------------===//
+
+Object *Heap::newObject(TlabBlock **Block, MutatorContext *Owner,
+                        uint32_t NumSlots, uint32_t RawBytes, uint64_t Gross) {
+  uint64_t Need = blockFootprint(Gross);
+  bool InBlock = Block && fitsBlock(Need);
+  void *Memory =
+      InBlock ? bumpBlock(*Block, Need, Owner) : ::operator new(Gross);
+  std::memset(Memory, 0, static_cast<size_t>(InBlock ? Need : Gross));
+  Object *O = new (Memory) Object();
+  O->Storage = InBlock ? Object::StorageTlab : Object::StorageOwn;
+  O->NumSlots = NumSlots;
+  O->RawBytes = RawBytes;
+  O->GrossBytes = static_cast<uint32_t>(Gross);
+  return O;
+}
+
+void Heap::refillBlock(TlabBlock *&Block, MutatorContext *Owner) {
+  std::lock_guard<std::mutex> Lock(RefillMu);
+  if (Owner)
+    Owner->refillTlab(Block);
+  if (Block)
+    retireTlab(Block);
+  Block = carveTlab(/*HeapOwned=*/Owner == nullptr);
+}
+
+Heap::TlabBlock *Heap::carveTlab(bool HeapOwned) {
+  auto Block = std::make_unique<TlabBlock>();
+  Block->Begin = static_cast<char *>(::operator new(BlockBytes));
+  Block->End = Block->Begin + BlockBytes;
+  Block->Cursor = Block->Begin;
+  Block->HeapOwned = HeapOwned;
+  TlabBlock *Raw = Block.get();
+  // Keep the table sorted by Begin so tlabBlockFor can binary-search.
+  auto It = std::lower_bound(
+      TlabBlocks.begin(), TlabBlocks.end(), Block->Begin,
+      [](const std::unique_ptr<TlabBlock> &B, const char *Begin) {
+        return B->Begin < Begin;
+      });
+  TlabBlocks.insert(It, std::move(Block));
+  return Raw;
+}
+
+void Heap::retireTlab(TlabBlock *Block) {
+  Block->Retired = true;
+  if (!Block->HeapOwned)
+    MutStats.TlabWastedBytes +=
+        static_cast<uint64_t>(Block->End - Block->Cursor);
+  Block->Cursor = Block->End;
+  // A block whose objects all died or were evacuated before it retired
+  // is returned right away; any other goes when its last object does.
+  if (Block->LiveObjects == 0)
+    freeTlabBlock(Block);
+}
+
+Heap::TlabBlock *Heap::tlabBlockFor(const Object *O) {
+  const char *P = reinterpret_cast<const char *>(O);
+  auto It = std::upper_bound(
+      TlabBlocks.begin(), TlabBlocks.end(), P,
+      [](const char *Ptr, const std::unique_ptr<TlabBlock> &B) {
+        return Ptr < B->Begin;
+      });
+  if (It == TlabBlocks.begin())
+    return nullptr;
+  TlabBlock *Block = std::prev(It)->get();
+  return P < Block->End ? Block : nullptr;
+}
+
+void Heap::freeTlabBlock(TlabBlock *Block) {
+  auto It = std::lower_bound(
+      TlabBlocks.begin(), TlabBlocks.end(), Block->Begin,
+      [](const std::unique_ptr<TlabBlock> &B, const char *Begin) {
+        return B->Begin < Begin;
+      });
+  DTB_CHECK(It != TlabBlocks.end() && It->get() == Block,
+            "freeing a bump block not in the block table");
+  if (!Block->HeapOwned)
+    MutStats.TlabBlocksFreed += 1;
+  ::operator delete(Block->Begin);
+  TlabBlocks.erase(It);
+}
+
+void Heap::releaseStorage(Object *O) {
+  O->Magic = Object::MagicDead;
+  if (Config.QuarantineFreedObjects) {
+    // Block-interior objects quarantine like any other (their block then
+    // simply never drains to zero, so it stays resident — quarantine mode
+    // is monotonic either way).
+    std::memset(O->rawData(), 0xDB, O->rawBytes());
+    for (uint32_t I = 0; I != O->numSlots(); ++I)
+      O->setSlotRaw(I, nullptr);
+    Quarantine.push_back(O);
+    return;
+  }
+  if (O->storageKind() == Object::StorageTlab) {
+    // The object shares its block's storage: the block is freed only when
+    // its last object dies after it was retired. Sweeps run world-stopped,
+    // so the block table is stable here.
+    TlabBlock *Block = tlabBlockFor(O);
+    DTB_CHECK(Block, "block-interior object outside every block");
+    DTB_CHECK(Block->LiveObjects != 0, "bump block live-count underflow");
+    Block->LiveObjects -= 1;
+    if (Block->Retired && Block->LiveObjects == 0)
+      freeTlabBlock(Block);
+    return;
+  }
+  ::operator delete(static_cast<void *>(O));
+}
+
+MutatorRuntimeStats Heap::mutatorStats() const {
+  MutatorRuntimeStats Out = MutStats;
+  Out.TlabBlocksResident = TlabBlocks.size() - heapBlocksResident();
+  return Out;
+}
+
+uint64_t Heap::heapBlocksResident() const {
+  return static_cast<uint64_t>(
+      std::count_if(TlabBlocks.begin(), TlabBlocks.end(),
+                    [](const std::unique_ptr<TlabBlock> &Block) {
+                      return Block->HeapOwned;
+                    }));
+}
+
+std::vector<std::pair<const void *, const void *>>
+Heap::tlabBlockRanges() const {
+  std::vector<std::pair<const void *, const void *>> Ranges;
+  Ranges.reserve(TlabBlocks.size());
+  for (const auto &Block : TlabBlocks)
+    Ranges.emplace_back(Block->Begin, Block->End);
+  return Ranges;
 }
 
 void Heap::registerWeakRef(WeakRef *Ref) { WeakRefs.push_back(Ref); }

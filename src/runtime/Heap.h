@@ -82,6 +82,10 @@ enum class CollectorKind {
   /// Evacuating: surviving threatened objects are copied to fresh
   /// storage and the originals released en masse ("reclaiming all the
   /// storage at once in the case of a copying collector" — paper §3).
+  /// Objects within the block size rule live in Heap::BlockBytes bump
+  /// blocks: direct allocations bump the heap's own block, each trace
+  /// lane bumps its own block as it evacuates, and a block is freed whole
+  /// once evacuation has moved out or reclaimed everything in it.
   /// Object addresses are NOT stable across collections: the mutator
   /// must reach objects through handles or global roots, which the
   /// collector updates. Pinned objects never move.
@@ -97,7 +101,8 @@ struct HeapConfig {
   /// instead of being freed, so tests can detect use-after-free through
   /// the Object canary. With the copying collector, the *originals* of
   /// moved objects are also quarantined, so stale raw pointers across a
-  /// collection are detected too. Memory grows monotonically in this
+  /// collection are detected too. A quarantined object inside a bump
+  /// block keeps its block resident. Memory grows monotonically in this
   /// mode.
   bool QuarantineFreedObjects = false;
   /// Scavenging strategy.
@@ -341,8 +346,8 @@ public:
     return Mutators;
   }
 
-  /// Counters for the mutator runtime (rendezvous, TLAB carving, barrier
-  /// flushes). Call from the owning thread or at a safepoint.
+  /// Counters for the mutator runtime (rendezvous, context TLAB carving,
+  /// barrier flushes). Call from the owning thread or at a safepoint.
   MutatorRuntimeStats mutatorStats() const;
 
   /// Snapshot of the most recent safepoint rendezvous (zeroed before the
@@ -368,10 +373,22 @@ public:
     return Config.LogStream ? Config.LogStream : stderr;
   }
 
-  /// [begin, end) storage ranges of every resident TLAB block, sorted by
+  /// Size of every bump block: a context's TLAB and, on a copying heap,
+  /// the heap's direct-allocation block and each trace lane's evacuation
+  /// block. An object whose 8-byte aligned footprint exceeds a quarter of
+  /// it gets dedicated storage instead.
+  static constexpr uint32_t BlockBytes = 32 * 1024;
+
+  /// [begin, end) storage ranges of every resident bump block — context
+  /// TLABs and the blocks a copying heap carved for itself — sorted by
   /// address (tests assert the ranges are disjoint — no byte double-
   /// carved). Call at a safepoint.
   std::vector<std::pair<const void *, const void *>> tlabBlockRanges() const;
+
+  /// Resident bump blocks the heap carved for itself: a copying heap's
+  /// direct-allocation and evacuation blocks, BlockBytes each. Context
+  /// TLABs are counted in mutatorStats(). Call at a safepoint.
+  uint64_t heapBlocksResident() const;
 
   /// Current allocation clock (bytes allocated so far, gross).
   core::AllocClock now() const {
@@ -473,17 +490,56 @@ private:
   void registerWeakRef(WeakRef *Ref);
   void unregisterWeakRef(WeakRef *Ref);
 
-  /// One bump-pointer block carved for a MutatorContext. The cursor is
-  /// owner-exclusive until the block is retired; LiveObjects is bumped by
-  /// the owner at allocation and decremented only inside stop-the-world
-  /// sweeps, so neither field needs atomics.
+  /// One bump-pointer block: a MutatorContext's TLAB, or on a copying
+  /// heap the heap's direct-allocation block or a trace lane's evacuation
+  /// block. The cursor is exclusive to the block's one user until the
+  /// block is retired; LiveObjects is bumped by that user at allocation
+  /// and decremented only inside stop-the-world sweeps, so neither field
+  /// needs atomics.
   struct TlabBlock {
     char *Begin = nullptr;
     char *End = nullptr;
     char *Cursor = nullptr;
     uint32_t LiveObjects = 0;
     bool Retired = false;
+    /// Carved for the heap itself rather than for a context; such blocks
+    /// stay out of mutatorStats().
+    bool HeapOwned = false;
   };
+
+  /// Footprint of a \p Gross-byte object inside a bump block (headers
+  /// need 8-byte alignment).
+  static uint64_t blockFootprint(uint64_t Gross) {
+    return (Gross + 7) & ~uint64_t(7);
+  }
+  /// The block size rule: objects whose footprint exceeds a quarter of a
+  /// block get dedicated storage.
+  static bool fitsBlock(uint64_t Footprint) {
+    return Footprint * 4 <= BlockBytes;
+  }
+  /// The one bump allocator: returns \p Need bytes (a block footprint
+  /// within the size rule) off \p Block and counts one more live object
+  /// there. A null or too-short \p Block is first replaced by refillBlock.
+  char *bumpBlock(TlabBlock *&Block, uint64_t Need,
+                  MutatorContext *Owner = nullptr) {
+    if (!Block || static_cast<uint64_t>(Block->End - Block->Cursor) < Need)
+      refillBlock(Block, Owner);
+    char *Memory = Block->Cursor;
+    Block->Cursor += Need;
+    Block->LiveObjects += 1;
+    return Memory;
+  }
+  /// bumpBlock's slow path, under RefillMu: retires \p Block (when
+  /// non-null) and carves its successor, a TLAB of \p Owner or a
+  /// heap-owned block when \p Owner is null. The owner accounts the
+  /// refill (MutatorContext::refillTlab).
+  void refillBlock(TlabBlock *&Block, MutatorContext *Owner);
+  /// A new object of \p Gross bytes, zeroed, its header stamped except for
+  /// the birth: bumped off \p *Block when the object fits the block size
+  /// rule, dedicated ::operator new storage when it does not or when
+  /// \p Block is null.
+  Object *newObject(TlabBlock **Block, MutatorContext *Owner,
+                    uint32_t NumSlots, uint32_t RawBytes, uint64_t Gross);
 
   // --- Multi-mutator machinery (implemented in Mutator.cpp) -------------
   /// Acquires exclusive ownership of the stopped world: serializes against
@@ -516,10 +572,11 @@ private:
   /// birth-ordered list, flushes barrier and grey buffers, and refreshes
   /// the demographics' since-allocation counter. Returns what it drained.
   PublicationSummary publishMutatorState();
-  /// Carves a fresh TLAB block of at least \p Bytes under the refill lock.
-  TlabBlock *carveTlab(uint64_t Bytes);
-  /// Retires \p Block (no further bumping; accounts the unused tail as
-  /// waste). Caller holds the refill lock or the stopped world.
+  /// Carves a fresh BlockBytes block under the refill lock.
+  TlabBlock *carveTlab(bool HeapOwned);
+  /// Retires \p Block (no further bumping; a context's unused tail counts
+  /// as waste) and frees it right away when nothing in it is live. Caller
+  /// holds the refill lock or the stopped world.
   void retireTlab(TlabBlock *Block);
   /// The block containing \p O (binary search over the sorted block
   /// table). World-stopped callers only.
@@ -623,7 +680,8 @@ private:
   /// lock (see stopWorld). Returns true when this call collected.
   bool collectOnTrigger();
   void reclaimObject(Object *O);
-  /// Frees (or quarantines+poisons) an object's storage.
+  /// Frees (or quarantines+poisons) an object's storage: dedicated storage
+  /// at once, a block-interior object by counting it out of its block.
   void releaseStorage(Object *O);
 
   /// Appends to the bounded degradation log.
@@ -712,10 +770,14 @@ private:
   /// Registered contexts, registration order (the deterministic visit
   /// order for root scans, publication, and barrier flushes).
   std::vector<MutatorContext *> Mutators;
-  /// Resident TLAB blocks, sorted by Begin address; guarded by RefillMu
+  /// Resident bump blocks, sorted by Begin address; guarded by RefillMu
   /// for growth, world-stopped for lookup/free.
   std::vector<std::unique_ptr<TlabBlock>> TlabBlocks;
-  /// Serializes TLAB carving (the only lock on the allocation slow path).
+  /// A copying heap's current direct-allocation block (null until the
+  /// first direct allocation, and always on a mark-sweep heap).
+  TlabBlock *DirectBlock = nullptr;
+  /// Serializes block carving (the only lock on the allocation slow path;
+  /// evacuation lanes carve under it too).
   std::mutex RefillMu;
   /// Guards mid-mutation barrier-buffer flushes into the remembered set
   /// (the shared sink) while the world is running. Never taken by

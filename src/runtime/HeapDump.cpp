@@ -73,6 +73,9 @@ dtb::runtime::collectDemographics(const Heap &H, AllocClock BaseAgeBytes) {
   for (size_t I = First; I != Log.size(); ++I)
     Demo.RecentDegradations.push_back(describeDegradation(Log[I]));
 
+  Demo.HeapBlocksResident = H.heapBlocksResident();
+  Demo.HeapBlockBytes = Demo.HeapBlocksResident * Heap::BlockBytes;
+
   IncrementalCycleInfo Cycle = H.incrementalCycleInfo();
   Demo.CycleActive = Cycle.Active;
   Demo.CycleBoundary = Cycle.Boundary;
@@ -170,6 +173,13 @@ void dtb::runtime::printDemographics(const HeapDemographics &Demo,
                  BarLength,
                  "########################################");
   }
+
+  if (Demo.HeapBlocksResident != 0)
+    std::fprintf(Out,
+                 "heap blocks: %llu resident, %llu carved bytes (direct "
+                 "allocation and evacuation)\n",
+                 static_cast<unsigned long long>(Demo.HeapBlocksResident),
+                 static_cast<unsigned long long>(Demo.HeapBlockBytes));
 
   if (Demo.CycleActive) {
     std::fprintf(Out,

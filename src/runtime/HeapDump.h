@@ -55,6 +55,13 @@ struct HeapDemographics {
   uint64_t DegradationEventsTotal = 0;
   std::array<uint64_t, NumDegradationKinds> DegradationCounts{};
   std::vector<std::string> RecentDegradations;
+  /// Bump blocks a copying heap carved for itself (its direct-allocation
+  /// block and the trace lanes' evacuation blocks) that are still
+  /// resident, and the bytes they were carved with. A block stays until
+  /// its last object is evacuated or reclaimed, so partly emptied blocks
+  /// show here. Context TLABs are counted with the mutators below.
+  uint64_t HeapBlocksResident = 0;
+  uint64_t HeapBlockBytes = 0;
   /// Open-incremental-cycle state (Heap::incrementalCycleInfo mirror;
   /// all-zero when no cycle is open). A heap dumped mid-cycle is mostly
   /// explained by these: the boundary/black window says what is

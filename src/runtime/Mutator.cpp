@@ -13,15 +13,17 @@
 //    collector waits for its op to finish — an op can never run while the
 //    world is stopped.
 //
-//  * TLAB carving. Blocks are carved from one refill lock; allocation
-//    inside a block is owner-exclusive bumping, and births come from one
-//    relaxed fetch_add on the shared clock — each allocation claims the
-//    disjoint interval (Birth - Gross, Birth], so births stay unique and
-//    the clock's final value is the same however threads interleave.
-//    With contexts driven round-robin from one thread, the sequence of
-//    births is exactly the direct path's (no clock ranges are reserved
-//    per block), which is what keeps --mutators conformance replay
-//    byte-identical to the simulator oracle.
+//  * TLAB allocation. Blocks are carved from one refill lock (the heap's
+//    bump-block code in Heap.cpp, shared with a copying heap's own
+//    blocks); allocation inside a block is owner-exclusive bumping, and
+//    births come from one relaxed fetch_add on the shared clock — each
+//    allocation claims the disjoint interval (Birth - Gross, Birth], so
+//    births stay unique and the clock's final value is the same however
+//    threads interleave. With contexts driven round-robin from one
+//    thread, the sequence of births is exactly the direct path's (no
+//    clock ranges are reserved per block), which is what keeps
+//    --mutators conformance replay byte-identical to the simulator
+//    oracle.
 //
 //===----------------------------------------------------------------------===//
 
@@ -36,8 +38,6 @@
 
 #include <algorithm>
 #include <cassert>
-#include <cstring>
-#include <new>
 
 using namespace dtb;
 using namespace dtb::runtime;
@@ -314,91 +314,6 @@ void Heap::runAtSafepoint(const std::function<void(Heap &)> &AtCollect,
   resumeWorld();
 }
 
-//===----------------------------------------------------------------------===//
-// Heap: TLAB block management
-//===----------------------------------------------------------------------===//
-
-Heap::TlabBlock *Heap::carveTlab(uint64_t Bytes) {
-  auto Block = std::make_unique<TlabBlock>();
-  Block->Begin = static_cast<char *>(::operator new(Bytes));
-  Block->End = Block->Begin + Bytes;
-  Block->Cursor = Block->Begin;
-  TlabBlock *Raw = Block.get();
-  // Keep the table sorted by Begin so tlabBlockFor can binary-search.
-  auto It = std::lower_bound(
-      TlabBlocks.begin(), TlabBlocks.end(), Block->Begin,
-      [](const std::unique_ptr<TlabBlock> &B, const char *Begin) {
-        return B->Begin < Begin;
-      });
-  TlabBlocks.insert(It, std::move(Block));
-  MutStats.TlabRefills += 1;
-  MutStats.TlabCarvedBytes += Bytes;
-  if (telemetry::enabled()) {
-    static telemetry::Counter &Refills =
-        telemetry::MetricsRegistry::global().counter("runtime.tlab.refills");
-    static telemetry::Counter &Carved =
-        telemetry::MetricsRegistry::global().counter(
-            "runtime.tlab.carved_bytes");
-    Refills.add(1);
-    Carved.add(Bytes);
-  }
-  return Raw;
-}
-
-void Heap::retireTlab(TlabBlock *Block) {
-  Block->Retired = true;
-  MutStats.TlabWastedBytes +=
-      static_cast<uint64_t>(Block->End - Block->Cursor);
-  Block->Cursor = Block->End;
-  // A retired block that never received a surviving object (e.g. retired
-  // because an oversized request forced a refill immediately) is returned
-  // right away... but only once no object inside it is resident, which is
-  // exactly LiveObjects == 0.
-  if (Block->LiveObjects == 0)
-    freeTlabBlock(Block);
-}
-
-Heap::TlabBlock *Heap::tlabBlockFor(const Object *O) {
-  const char *P = reinterpret_cast<const char *>(O);
-  auto It = std::upper_bound(
-      TlabBlocks.begin(), TlabBlocks.end(), P,
-      [](const char *Ptr, const std::unique_ptr<TlabBlock> &B) {
-        return Ptr < B->Begin;
-      });
-  if (It == TlabBlocks.begin())
-    return nullptr;
-  TlabBlock *Block = std::prev(It)->get();
-  return P < Block->End ? Block : nullptr;
-}
-
-void Heap::freeTlabBlock(TlabBlock *Block) {
-  auto It = std::lower_bound(
-      TlabBlocks.begin(), TlabBlocks.end(), Block->Begin,
-      [](const std::unique_ptr<TlabBlock> &B, const char *Begin) {
-        return B->Begin < Begin;
-      });
-  DTB_CHECK(It != TlabBlocks.end() && It->get() == Block,
-            "freeing a TLAB block not in the block table");
-  ::operator delete(Block->Begin);
-  TlabBlocks.erase(It);
-  MutStats.TlabBlocksFreed += 1;
-}
-
-MutatorRuntimeStats Heap::mutatorStats() const {
-  MutatorRuntimeStats Out = MutStats;
-  Out.TlabBlocksResident = TlabBlocks.size();
-  return Out;
-}
-
-std::vector<std::pair<const void *, const void *>>
-Heap::tlabBlockRanges() const {
-  std::vector<std::pair<const void *, const void *>> Ranges;
-  Ranges.reserve(TlabBlocks.size());
-  for (const auto &Block : TlabBlocks)
-    Ranges.emplace_back(Block->Begin, Block->End);
-  return Ranges;
-}
-
 void Heap::barrierSinkFailed(bool Locked) {
   if (Locked) {
     handleRemSetOverflow("injected barrier-sink fault; flush distrusted");
@@ -589,26 +504,11 @@ Object *MutatorContext::allocateInOp(uint32_t NumSlots, uint32_t RawBytes) {
       return nullptr;
   }
 
-  // Aligned footprint inside a TLAB block (headers need 8-byte alignment;
-  // dedicated storage gets it from operator new).
-  uint64_t Need = (Gross + 7) & ~uint64_t(7);
-  Object *O;
-  if (Need * 4 > TlabBytes) {
-    O = allocateHumongous(Gross, NumSlots, RawBytes);
-  } else {
-    if (!Tlab || static_cast<uint64_t>(Tlab->End - Tlab->Cursor) < Need)
-      refillTlab(Need);
-    char *Memory = Tlab->Cursor;
-    Tlab->Cursor += Need;
-    Tlab->LiveObjects += 1;
-    std::memset(Memory, 0, static_cast<size_t>(Need));
-    O = new (Memory) Object();
-    O->Magic = Object::MagicAlive;
-    O->Storage = Object::StorageTlab;
-    O->NumSlots = NumSlots;
-    O->RawBytes = RawBytes;
-    O->GrossBytes = static_cast<uint32_t>(Gross);
-  }
+  // Objects over the block size rule bypass the TLAB into dedicated
+  // storage.
+  Object *O = H.newObject(&Tlab, this, NumSlots, RawBytes, Gross);
+  if (O->storageKind() == Object::StorageOwn)
+    S.HumongousAllocations += 1;
   // One relaxed fetch_add claims this allocation's disjoint clock
   // interval; births stay unique and monotone per context however threads
   // interleave, and single-threaded driving reproduces the direct path's
@@ -630,36 +530,31 @@ Object *MutatorContext::allocateInOp(uint32_t NumSlots, uint32_t RawBytes) {
   return O;
 }
 
-Object *MutatorContext::allocateHumongous(uint64_t Gross, uint32_t NumSlots,
-                                          uint32_t RawBytes) {
-  void *Memory = ::operator new(Gross);
-  std::memset(Memory, 0, Gross);
-  Object *O = new (Memory) Object();
-  O->Magic = Object::MagicAlive;
-  O->Storage = Object::StorageOwn;
-  O->NumSlots = NumSlots;
-  O->RawBytes = RawBytes;
-  O->GrossBytes = static_cast<uint32_t>(Gross);
-  S.HumongousAllocations += 1;
-  return O;
-}
-
-void MutatorContext::refillTlab(uint64_t Need) {
-  std::lock_guard<std::mutex> Lock(H.RefillMu);
-  if (Tlab) {
-#if DTB_TELEMETRY
-    // The tail the heap-level retire accounting calls waste, attributed
-    // to the context that abandoned it.
-    S.Obs.TlabWastedBytes += static_cast<uint64_t>(Tlab->End - Tlab->Cursor);
-#endif
-    H.retireTlab(Tlab);
-  }
-  uint64_t Bytes = std::max<uint64_t>(TlabBytes, Need);
-  Tlab = H.carveTlab(Bytes);
+void MutatorContext::refillTlab(
+    [[maybe_unused]] const Heap::TlabBlock *Retiring) {
+  // Runs under the heap's refill lock: the counters below are the
+  // context-TLAB side of MutatorRuntimeStats, which the heap's own blocks
+  // stay out of.
+  H.MutStats.TlabRefills += 1;
+  H.MutStats.TlabCarvedBytes += Heap::BlockBytes;
   S.TlabRefills += 1;
 #if DTB_TELEMETRY
-  S.Obs.TlabCarvedBytes += Bytes;
+  // The tail the heap-level retire accounting calls waste, attributed
+  // to the context that abandoned it.
+  if (Retiring)
+    S.Obs.TlabWastedBytes +=
+        static_cast<uint64_t>(Retiring->End - Retiring->Cursor);
+  S.Obs.TlabCarvedBytes += Heap::BlockBytes;
 #endif
+  if (telemetry::enabled()) {
+    static telemetry::Counter &Refills =
+        telemetry::MetricsRegistry::global().counter("runtime.tlab.refills");
+    static telemetry::Counter &Carved =
+        telemetry::MetricsRegistry::global().counter(
+            "runtime.tlab.carved_bytes");
+    Refills.add(1);
+    Carved.add(Heap::BlockBytes);
+  }
 }
 
 //===----------------------------------------------------------------------===//

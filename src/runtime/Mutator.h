@@ -162,10 +162,6 @@ private:
   friend class Heap;
 
   static constexpr size_t BarrierFlushThreshold = 64;
-  /// Size of the bump-pointer blocks a context carves under the refill
-  /// lock. Objects whose gross size exceeds a quarter of this get
-  /// dedicated storage instead of a TLAB slice.
-  static constexpr uint32_t TlabBytes = 32 * 1024;
 
   /// Enters the Mutating state; blocks while a rendezvous is open (unless
   /// this thread owns the stopped world — safepoint callbacks drive
@@ -178,9 +174,10 @@ private:
   void yieldAtSafepoint();
 
   Object *allocateInOp(uint32_t NumSlots, uint32_t RawBytes);
-  Object *allocateHumongous(uint64_t Gross, uint32_t NumSlots,
-                            uint32_t RawBytes);
-  void refillTlab(uint64_t Need);
+  /// Accounts one TLAB refill: Heap::refillBlock calls it under the refill
+  /// lock just before it retires \p Retiring (null on the first refill)
+  /// and carves this context a fresh Heap::BlockBytes block.
+  void refillTlab(const Heap::TlabBlock *Retiring);
   /// Delivers the buffered entries to the remembered set; consults the
   /// BarrierSink fault site. Returns entries delivered. \p WorldStopped
   /// callers skip the sink lock.

@@ -50,9 +50,11 @@ public:
   enum : uint8_t {
     /// A dedicated ::operator new block; released individually.
     StorageOwn = 0,
-    /// Interior to a thread-local allocation buffer (TLAB) carved by a
-    /// MutatorContext; the block is released when its last object dies
-    /// (runtime/Mutator.cpp), never per-object.
+    /// Interior to a bump block: a MutatorContext's thread-local
+    /// allocation buffer (TLAB), or on a copying heap the heap's
+    /// direct-allocation block or a trace lane's evacuation block. The
+    /// block is released when its last object dies after the block was
+    /// retired (Heap::releaseStorage), never per-object.
     StorageTlab = 1,
   };
 

@@ -211,6 +211,8 @@ struct MutatorObservability {
 
 /// Heap-level counters for the mutator runtime, snapshot via
 /// Heap::mutatorStats(). Deterministic under single-threaded driving.
+/// The Tlab* counters describe context TLABs only; the blocks a copying
+/// heap carves for itself are reported by Heap::heapBlocksResident().
 struct MutatorRuntimeStats {
   /// Rendezvous the heap completed (collections, safepoint callbacks).
   uint64_t SafepointRendezvous = 0;

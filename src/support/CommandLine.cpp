@@ -118,8 +118,9 @@ bool OptionParser::parse(int Argc, const char *const *Argv) {
       return false;
     }
     if (std::strncmp(Arg, "--", 2) != 0) {
-      // Single-dash short aliases: `-j 4` or `-j4`. Anything else without
-      // a leading `--` stays a positional.
+      // Single-dash short aliases: `-j 4` or `-j4`. Any other single-dash
+      // argument is an unknown option; a lone `-` and anything without a
+      // leading dash are positionals.
       if (Arg[0] == '-' && Arg[1] != '\0') {
         const Option *Aliased = nullptr;
         std::string Attached;
@@ -152,6 +153,14 @@ bool OptionParser::parse(int Argc, const char *const *Argv) {
           }
           continue;
         }
+        std::fprintf(stderr, "error: unknown option '%s' (try --help)\n",
+                     Arg);
+        return false;
+      }
+      if (!TakesPositionals) {
+        std::fprintf(stderr, "error: unexpected argument '%s' (try --help)\n",
+                     Arg);
+        return false;
       }
       Positionals.push_back(Arg);
       continue;

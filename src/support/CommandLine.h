@@ -35,9 +35,14 @@ public:
   void addFlag(std::string Name, std::string Help, bool *Target);
 
   /// Registers a single-dash alias for an already-registered option, so
-  /// `-j 4` and `-j4` behave like `--threads 4`. Single-dash arguments
-  /// that match no alias remain positionals.
+  /// `-j 4` and `-j4` behave like `--threads 4`. A single-dash argument
+  /// that matches no alias is an unknown option; a lone `-` is a
+  /// positional.
   void addShortAlias(std::string ShortName, std::string OptionName);
+
+  /// Makes parse() fail on any positional argument, for programs that
+  /// take none.
+  void rejectPositionals() { TakesPositionals = false; }
 
   /// Parses \p Argv. Returns false (after printing a diagnostic or help
   /// text) if the program should exit; positional arguments are collected
@@ -65,6 +70,7 @@ private:
   std::vector<Option> Options;
   std::vector<std::pair<std::string, std::string>> ShortAliases;
   std::vector<std::string> Positionals;
+  bool TakesPositionals = true;
 };
 
 /// Parses "123", "64k", "1m", "2g" style sizes; returns false on malformed

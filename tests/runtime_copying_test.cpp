@@ -1,8 +1,9 @@
 //===- tests/runtime_copying_test.cpp -------------------------------------==//
 //
 // Tests for the evacuating (copying) collector: relocation semantics,
-// handle/root/remembered-set fix-ups, pinning, payload preservation, and
-// byte-accounting equivalence with the mark-sweep strategy.
+// handle/root/remembered-set fix-ups, pinning, payload preservation,
+// byte-accounting equivalence with the mark-sweep strategy, and the bump
+// blocks that direct allocations and copies live in.
 //
 //===----------------------------------------------------------------------===//
 
@@ -14,7 +15,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
+#include <vector>
 
 using namespace dtb;
 using namespace dtb::runtime;
@@ -307,3 +310,117 @@ TEST_P(CopyingPropertyTest, RandomGraphsStaySoundUnderEvacuation) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, CopyingPropertyTest,
                          testing::Values(11ull, 22ull, 33ull, 44ull));
+
+//===----------------------------------------------------------------------===//
+// Block storage: direct allocations and copies live in bump blocks
+//===----------------------------------------------------------------------===//
+
+namespace {
+
+/// Every resident object except \p Large (over the block size rule) lies
+/// inside exactly one bump block, no two footprints overlap, and the heap
+/// verifies.
+void expectBlockInvariants(const Heap &H, const Object *Large,
+                           const char *Where) {
+  SCOPED_TRACE(Where);
+  std::vector<std::pair<const void *, const void *>> Ranges =
+      H.tlabBlockRanges();
+  std::vector<std::pair<const char *, const char *>> Footprints;
+  for (const Object *O : H.objects()) {
+    const char *Begin = reinterpret_cast<const char *>(O);
+    const char *End = Begin + O->grossBytes();
+    size_t Containing = 0;
+    for (const auto &[Lo, Hi] : Ranges)
+      if (Begin >= static_cast<const char *>(Lo) &&
+          End <= static_cast<const char *>(Hi))
+        ++Containing;
+    EXPECT_EQ(Containing, O == Large ? 0u : 1u)
+        << "object born at " << O->birth();
+    Footprints.emplace_back(Begin, End);
+  }
+  std::sort(Footprints.begin(), Footprints.end());
+  for (size_t I = 1; I != Footprints.size(); ++I)
+    ASSERT_LE(Footprints[I - 1].second, Footprints[I].first)
+        << "two objects share storage";
+  VerifyResult Result = verifyHeap(H);
+  EXPECT_TRUE(Result.Ok) << (Result.Problems.empty() ? ""
+                                                     : Result.Problems.front());
+}
+
+/// Runs the block-storage script on a copying heap with \p TraceThreads
+/// lanes and returns, per collection, the numbers that must not depend on
+/// the lane count.
+std::vector<std::vector<uint64_t>> runBlockScript(unsigned TraceThreads) {
+  HeapConfig Config;
+  Config.TriggerBytes = 0;
+  Config.Collector = CollectorKind::Copying;
+  Config.TraceThreads = TraceThreads;
+  Heap H(Config);
+  HandleScope Scope(H);
+  // A 128-slot hub whose children point at more objects with slots: the
+  // round after the hub's holds 128 items, enough for the lanes to
+  // evacuate in parallel. Slot-less leaves, a pinned object, an object
+  // over 8 KB and weak references to a survivor and to a dying object
+  // ride along.
+  Object *&Hub = Scope.slot(H.allocate(128));
+  Object *&Large = Scope.slot(H.allocate(0, 9'000));
+  Object *&Pinned = Scope.slot(H.allocate(1, 16));
+  H.pinObject(Pinned);
+  Object *const PinnedAddress = Pinned;
+  Object *&Survivor = Scope.slot(H.allocate(0, 24));
+  WeakRef ToSurvivor(H, Survivor);
+  WeakRef ToDying(H, H.allocate(0, 24));
+  expectBlockInvariants(H, Large, "before the first collection");
+
+  std::vector<std::vector<uint64_t>> Records;
+  Rng R(0xB10C);
+  for (int Round = 0; Round != 6; ++Round) {
+    // No trigger: raw pointers stay valid until the explicit collection.
+    for (uint32_t I = 0; I != Hub->numSlots(); ++I) {
+      if (Round != 0 && R.nextBool(0.5))
+        continue; // The old child survives another round.
+      Object *Child = H.allocate(2, static_cast<uint32_t>(R.nextBelow(48)));
+      H.writeSlot(Hub, I, Child);
+      Object *Grandchild = H.allocate(1, 8);
+      H.writeSlot(Child, 0, Grandchild);
+      H.writeSlot(Grandchild, 0,
+                  H.allocate(0, static_cast<uint32_t>(R.nextBelow(64))));
+      if (R.nextBool(0.3))
+        H.writeSlot(Child, 1, Survivor);
+      H.allocate(0, static_cast<uint32_t>(R.nextBelow(96))); // Garbage.
+    }
+    H.writeSlot(Pinned, 0, H.allocate(0, 32));
+    // The first collection is full, so the dying weak target (immune to
+    // a later boundary) is reclaimed right away.
+    core::AllocClock Boundary = Round % 3 == 0 ? 0 : H.now() / 2;
+    core::ScavengeRecord Record = H.collectAtBoundary(Boundary);
+    expectBlockInvariants(H, Large, "after a collection");
+    EXPECT_EQ(Pinned, PinnedAddress) << "a pinned object moved";
+    EXPECT_EQ(ToSurvivor.get(), Survivor);
+    EXPECT_EQ(ToDying.get(), nullptr);
+    const CollectionStats &Stats = H.lastCollectionStats();
+    Records.push_back({Record.Boundary, Record.TracedBytes,
+                       Record.ReclaimedBytes, Record.SurvivedBytes,
+                       Stats.ObjectsMoved, Stats.ObjectsReclaimed,
+                       H.residentBytes(), H.residentObjects()});
+  }
+
+  // With nothing rooted, a full collection empties every block; only the
+  // heap's current direct-allocation block may stay resident.
+  H.unpinObject(Pinned);
+  Hub = Large = Pinned = Survivor = nullptr;
+  H.collectAtBoundary(0);
+  EXPECT_EQ(H.residentObjects(), 0u);
+  EXPECT_EQ(ToSurvivor.get(), nullptr);
+  EXPECT_LE(H.tlabBlockRanges().size(), 1u) << "an empty block stayed";
+  return Records;
+}
+
+} // namespace
+
+TEST(CopyingBlockTest, EveryObjectLivesInOneBlockAtAnyLaneCount) {
+  std::vector<std::vector<uint64_t>> Serial = runBlockScript(1);
+  std::vector<std::vector<uint64_t>> Parallel = runBlockScript(4);
+  ASSERT_EQ(Serial.size(), 6u);
+  EXPECT_EQ(Serial, Parallel) << "records differ across lane counts";
+}

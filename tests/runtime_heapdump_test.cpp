@@ -11,6 +11,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <cstdlib>
 #include <string>
 
 using namespace dtb;
@@ -29,6 +31,17 @@ uint64_t sumResident(const HeapDemographics &Demo) {
   for (const AgeBand &Band : Demo.Bands)
     Total += Band.ResidentBytes;
   return Total;
+}
+
+std::string printed(const Heap &H) {
+  char *Buffer = nullptr;
+  size_t Size = 0;
+  std::FILE *Stream = open_memstream(&Buffer, &Size);
+  printDemographics(collectDemographics(H), Stream);
+  std::fclose(Stream);
+  std::string Out(Buffer, Size);
+  std::free(Buffer);
+  return Out;
 }
 
 } // namespace
@@ -152,4 +165,29 @@ TEST(HeapDumpTest, PrintsWithoutCrashing) {
   std::fclose(Stream);
   EXPECT_GT(Size, 0u);
   std::free(Buffer);
+}
+
+TEST(HeapDumpTest, ShowsTheBlocksACopyingHeapCarvedForItself) {
+  HeapConfig Config = manualConfig();
+  Config.Collector = CollectorKind::Copying;
+  Heap H(Config);
+  HandleScope Scope(H);
+  for (int I = 0; I != 50; ++I)
+    Scope.slot(H.allocate(1, 32));
+  // One direct-allocation block; the collection evacuates every object
+  // into one lane block and leaves the direct block empty but current.
+  H.collectAtBoundary(0);
+  std::string Out = printed(H);
+  EXPECT_NE(Out.find("heap blocks: 2 resident, 65536 carved bytes (direct "
+                     "allocation and evacuation)"),
+            std::string::npos)
+      << Out;
+  EXPECT_EQ(Out.find("mutators:"), std::string::npos) << Out;
+
+  Heap MarkSweep(manualConfig());
+  HandleScope MarkSweepScope(MarkSweep);
+  for (int I = 0; I != 50; ++I)
+    MarkSweepScope.slot(MarkSweep.allocate(1, 32));
+  MarkSweep.collectAtBoundary(0);
+  EXPECT_EQ(printed(MarkSweep).find("heap blocks:"), std::string::npos);
 }

@@ -112,6 +112,30 @@ TEST(OptionParserTest, PositionalsCollected) {
   EXPECT_EQ(P.positionals()[1], "two");
 }
 
+TEST(OptionParserTest, UnknownShortOptionFails) {
+  uint64_t N = 0;
+  OptionParser P("test");
+  P.addUInt("count", "a count", &N);
+  P.addShortAlias("c", "count");
+  EXPECT_FALSE(parse(P, {"-x"}));
+  OptionParser Q("test");
+  EXPECT_FALSE(parse(Q, {"one", "-x", "two"}));
+  // A lone dash is a positional (conventionally standard input).
+  OptionParser R("test");
+  EXPECT_TRUE(parse(R, {"-"}));
+  EXPECT_EQ(R.positionals(), std::vector<std::string>{"-"});
+}
+
+TEST(OptionParserTest, RejectedPositionalsFail) {
+  bool F = false;
+  OptionParser P("test");
+  P.addFlag("fast", "go fast", &F);
+  P.rejectPositionals();
+  EXPECT_TRUE(parse(P, {"--fast"}));
+  EXPECT_FALSE(parse(P, {"stray"}));
+  EXPECT_FALSE(parse(P, {"--fast", "-"}));
+}
+
 TEST(OptionParserTest, HelpReturnsFalse) {
   OptionParser P("test");
   EXPECT_FALSE(parse(P, {"--help"}));

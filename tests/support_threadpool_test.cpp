@@ -135,14 +135,19 @@ TEST(ThreadsOptionTest, LongAndShortSpellings) {
   EXPECT_EQ(Parser.positionals()[0], "positional");
 }
 
-TEST(ThreadsOptionTest, UnknownShortArgsStayPositional) {
+TEST(ThreadsOptionTest, UnknownShortArgsAreRejected) {
   uint64_t Threads = 0;
   OptionParser Parser("test");
   addThreadsOption(Parser, &Threads);
   const char *Argv[] = {"prog", "-x", "-"};
-  ASSERT_TRUE(Parser.parse(3, Argv));
-  EXPECT_EQ(Parser.positionals(),
-            (std::vector<std::string>{"-x", "-"}));
+  EXPECT_FALSE(Parser.parse(3, Argv));
+
+  OptionParser Dash("test");
+  addThreadsOption(Dash, &Threads);
+  const char *DashArgv[] = {"prog", "-j2", "-"};
+  ASSERT_TRUE(Dash.parse(3, DashArgv));
+  EXPECT_EQ(Threads, 2u);
+  EXPECT_EQ(Dash.positionals(), (std::vector<std::string>{"-"}));
 }
 
 TEST(DefaultPoolTest, ThreadCountOneMeansNoPool) {
