@@ -180,8 +180,8 @@ int main(int Argc, char **Argv) {
                    "Runtime strategy under test: marksweep, copying, or both",
                    &CollectorOpt);
   Parser.addUInt("trace-lanes",
-                 "Runtime trace lanes per case (1 = serial); any value "
-                 "must leave every comparison unchanged",
+                 "Runtime trace lanes per case, at least 1 (1 = serial); "
+                 "any value must leave every comparison unchanged",
                  &TraceLanes);
   Parser.addUInt("scavenge-budget",
                  "Runtime trace quantum budget in bytes (0 = monolithic); "
@@ -215,6 +215,11 @@ int main(int Argc, char **Argv) {
   Parser.rejectPositionals();
   if (!Parser.parse(Argc, Argv))
     return 1;
+  if (TraceLanes == 0) {
+    std::fprintf(stderr, "error: --trace-lanes must be at least 1 "
+                         "(1 = serial trace)\n");
+    return 1;
+  }
   applyThreadsOption(Threads);
 
   // Mode defaults: --quick uses tight constraints so the adaptive policies

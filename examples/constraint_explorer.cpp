@@ -78,6 +78,7 @@ int main(int Argc, char **Argv) {
   OptionParser Parser("Explores the pause/memory tradeoff frontier spanned "
                       "by the DTB policies");
   Parser.addString("workload", "Workload name", &WorkloadName);
+  Parser.rejectPositionals();
   if (!Parser.parse(Argc, Argv))
     return 1;
 

@@ -483,6 +483,7 @@ int main(int Argc, char **Argv) {
   Parser.addUInt("pause-us", "DTBFM pause budget in microseconds of "
                  "simulated tracing (500 bytes/ms)", &PauseBudgetUs);
   Parser.addFlag("dump", "Print the heap age demographics at exit", &Dump);
+  Parser.rejectPositionals();
   if (!Parser.parse(Argc, Argv))
     return 1;
 

@@ -69,6 +69,7 @@ int main(int Argc, char **Argv) {
   Parser.addUInt("documents", "Distinct documents", &NumDocuments);
   Parser.addUInt("requests", "Total render requests", &Requests);
   Parser.addUInt("render-bytes", "Payload bytes per render", &RenderBytes);
+  Parser.rejectPositionals();
   if (!Parser.parse(Argc, Argv))
     return 1;
 

@@ -64,6 +64,7 @@ int main(int Argc, char **Argv) {
                  &MemMax);
   telemetry::TelemetryOptions TelemetryOpts;
   telemetry::addTelemetryOptions(Parser, &TelemetryOpts);
+  Parser.rejectPositionals();
   if (!Parser.parse(Argc, Argv))
     return 1;
   telemetry::TelemetrySession Telemetry(TelemetryOpts);

@@ -44,13 +44,25 @@ core::ScavengeRecord Heap::collectAtBoundary(AllocClock Boundary) {
   // first so its record lands in the history before this one.
   if (Inc.Active)
     finishIncrementalScavenge();
+  bool RebuildRemSet = false;
+  Boundary = openCollection(Boundary, RebuildRemSet);
+  uint64_t MemBefore = ResidentBytes;
+
+  ScavengeWork Work = Config.Collector == CollectorKind::MarkSweep
+                          ? runMarkSweep(Boundary)
+                          : runCopying(Boundary);
+
+  return completeCollection(Boundary, Work, MemBefore, RebuildRemSet);
+}
+
+AllocClock Heap::openCollection(AllocClock Boundary, bool &RebuildRemSet) {
   if (Boundary > Clock)
     fatalError("threatening boundary lies in the future");
   if (InCollection)
     fatalError("re-entrant collection");
   // A lost remembered set means crossing pointers may be unrecorded; the
   // only sound boundary until the set is rebuilt is 0 (trace everything).
-  bool RebuildRemSet = RemSetPessimized;
+  RebuildRemSet = RemSetPessimized;
   if (RebuildRemSet && Boundary != 0) {
     recordDegradation({DegradationKind::BoundaryPessimized, Clock, 0, 0,
                        ResidentBytes,
@@ -59,18 +71,11 @@ core::ScavengeRecord Heap::collectAtBoundary(AllocClock Boundary) {
     Boundary = 0;
   }
   InCollection = true;
-
   LastStats = CollectionStats();
   WatchdogConsecutive = 0;
   WatchdogSerial = false;
   EffectiveBudgetBytes = 0;
-  uint64_t MemBefore = ResidentBytes;
-
-  ScavengeWork Work = Config.Collector == CollectorKind::MarkSweep
-                          ? runMarkSweep(Boundary)
-                          : runCopying(Boundary);
-
-  return completeCollection(Boundary, Work, MemBefore, RebuildRemSet);
+  return Boundary;
 }
 
 core::ScavengeRecord Heap::completeCollection(AllocClock Boundary,
@@ -310,24 +315,12 @@ void Heap::seedMarkSweepRoots(AllocClock Boundary, AllocClock BlackClock,
   }
 
   // Remembered-set roots: entries whose source is immune and whose current
-  // value crosses the boundary. Entries are re-validated against the live
-  // slot contents; ones that are no longer forward-in-time pointers
-  // (overwritten or cleared) are pruned.
+  // value crosses the boundary.
   {
     profiling::ProfilePhase Phase(&Profiler, profiling::phase::RemSetScan);
     uint64_t Before = Work.TracedBytes;
-    RemSet.forEachAndPrune([&](Object *Source, uint32_t SlotIndex) {
-      assert(Source->isAlive() && "remembered set names a dead source");
-      Object *Target = Source->slot(SlotIndex);
-      if (!Target || Target->birth() <= Source->birth()) {
-        LastStats.RememberedSetPruned += 1;
-        return false; // Stale: no longer a forward-in-time pointer.
-      }
-      if (Source->birth() <= Boundary && Target->birth() > Boundary) {
-        LastStats.RememberedSetRoots += 1;
-        markThreatened(Target, Boundary, BlackClock, Gray, Work);
-      }
-      return true;
+    forEachCrossing(Boundary, [&](Object *, uint32_t, Object *Target) {
+      markThreatened(Target, Boundary, BlackClock, Gray, Work);
     });
     Phase.addCost(Work.TracedBytes - Before);
   }
@@ -382,14 +375,9 @@ uint64_t Heap::traceMarkSweepQuantum(AllocClock Boundary,
   if (EffectiveBudgetBytes != 0)
     BudgetBytes = EffectiveBudgetBytes;
 
-  bool PoolIsPrivate = false;
-  ThreadPool *Pool = tracePoolFor(&PoolIsPrivate);
-  TraceLaneSet Lanes(Pool, PoolIsPrivate);
+  TraceLaneSet Lanes(tracePool());
   if (WatchdogSerial)
     Lanes.degradeAllRounds();
-  if (Profiler.active())
-    for (unsigned I = 0; I != Lanes.numLanes(); ++I)
-      Lanes.lane(I).Profiler.setEnabled(true);
 
   // Wall time is quarantined observability (like every `wall.` metric):
   // it never feeds the deterministic violation decision below.
@@ -404,11 +392,6 @@ uint64_t Heap::traceMarkSweepQuantum(AllocClock Boundary,
         scanMarkSweepObject(O, Boundary, BlackClock, Lane);
       },
       [&](std::vector<Object *> &G) { drainTraceLanes(Lanes, G, Work); });
-
-  // Per-lane attribution is scheduling-dependent; it folds into the
-  // quarantined lane profile, never the deterministic phase costs.
-  for (unsigned I = 0; I != Lanes.numLanes(); ++I)
-    LaneProfile.mergeFrom(Lanes.lane(I).Profiler);
 
   LastStats.TraceQuanta += 1;
   if (Scanned > LastStats.MaxQuantumTracedBytes)
@@ -546,31 +529,17 @@ void Heap::beginIncrementalScavenge(AllocClock Boundary) {
     fatalError("incremental scavenging requires the mark-sweep collector");
   if (Inc.Active)
     fatalError("incremental scavenge already active");
-  if (InCollection)
-    fatalError("re-entrant collection");
-  if (Boundary > Clock)
-    fatalError("threatening boundary lies in the future");
-  bool RebuildRemSet = RemSetPessimized;
-  if (RebuildRemSet && Boundary != 0) {
-    recordDegradation({DegradationKind::BoundaryPessimized, Clock, 0, 0,
-                       ResidentBytes,
-                       "remembered set lost; boundary " +
-                           std::to_string(Boundary) + " forced to 0"});
-    Boundary = 0;
-  }
-  InCollection = true;
+  // Rollback state for abortIncrementalScavenge: the pre-cycle stats. The
+  // survivor table needs none — only the sweep touches it.
+  CollectionStats PrevStats = LastStats;
+  bool RebuildRemSet = false;
+  Boundary = openCollection(Boundary, RebuildRemSet);
   Inc = IncrementalState();
   Inc.Active = true;
   Inc.Boundary = Boundary;
   Inc.BlackClock = Clock;
   Inc.RebuildRemSet = RebuildRemSet;
-  // Rollback state for abortIncrementalScavenge: the pre-cycle stats. The
-  // survivor table needs none — only the sweep touches it.
-  Inc.PrevStats = LastStats;
-  LastStats = CollectionStats();
-  WatchdogConsecutive = 0;
-  WatchdogSerial = false;
-  EffectiveBudgetBytes = 0;
+  Inc.PrevStats = PrevStats;
   syncIncMirror();
   FlightRec.record(FlightEventKind::CycleBegin, Clock, Boundary);
   seedMarkSweepRoots(Boundary, Inc.BlackClock, Inc.Gray, Inc.Work);
@@ -679,12 +648,11 @@ void Heap::abortIncrementalCycle(const char *Why) {
 
   // Roll back the per-collection stats; the survivor table and history
   // change only in the sweep and completeCollection, never reached here.
+  // The watchdog state is left for the next collection's prologue to
+  // reset; nothing reads it before then.
   LastStats = Inc.PrevStats;
   Inc = IncrementalState();
   syncIncMirror();
-  WatchdogConsecutive = 0;
-  WatchdogSerial = false;
-  EffectiveBudgetBytes = 0;
 
   // Close the partial phase tree (no frames stay open between incremental
   // calls); the aggregates keep the already-attributed cost, which is
@@ -705,13 +673,9 @@ void Heap::abortIncrementalCycle(const char *Why) {
            std::to_string(Quanta) + " quanta (" +
            std::to_string(TracedBytes) + " bytes traced)"});
 
-  if (RollbackFaulted && !RemSetPessimized) {
-    RemSetPessimized = true;
-    recordDegradation({DegradationKind::BoundaryPessimized, Clock, 0, 0,
-                       ResidentBytes,
-                       "injected cycle-abort fault; rollback distrusted, "
-                       "next collection forced full"});
-  }
+  if (RollbackFaulted)
+    pessimizeNextCollection("injected cycle-abort fault; rollback "
+                            "distrusted, next collection forced full");
 }
 
 IncrementalCycleInfo Heap::incrementalCycleInfo() const {

@@ -87,12 +87,7 @@ Heap::ScavengeWork Heap::runCopying(AllocClock Boundary) {
     return O && O->birth() > Boundary;
   };
 
-  bool PoolIsPrivate = false;
-  ThreadPool *Pool = tracePoolFor(&PoolIsPrivate);
-  TraceLaneSet Lanes(Pool, PoolIsPrivate);
-  if (Profiler.active())
-    for (unsigned I = 0; I != Lanes.numLanes(); ++I)
-      Lanes.lane(I).Profiler.setEnabled(true);
+  TraceLaneSet Lanes(tracePool());
   // Each lane bumps its copies into its own evacuation block (indexed like
   // the lane set's lanes), so lanes share no cursor; a lane carves a
   // successor under the refill lock when its block fills.
@@ -195,18 +190,9 @@ Heap::ScavengeWork Heap::runCopying(AllocClock Boundary) {
   {
     profiling::ProfilePhase Phase(&Profiler, profiling::phase::RemSetScan);
     uint64_t Before = Work.TracedBytes;
-    RemSet.forEachAndPrune([&](Object *Source, uint32_t SlotIndex) {
-      assert(Source->isAlive() && "remembered set names a dead source");
-      Object *Target = Source->slot(SlotIndex);
-      if (!Target || Target->birth() <= Source->birth()) {
-        LastStats.RememberedSetPruned += 1;
-        return false;
-      }
-      if (Source->birth() <= Boundary && isThreatened(Target)) {
-        LastStats.RememberedSetRoots += 1;
-        Source->setSlotRaw(SlotIndex, relocate(Target, Lanes.serialLane()));
-      }
-      return true;
+    forEachCrossing(Boundary, [&](Object *Source, uint32_t SlotIndex,
+                                  Object *Target) {
+      Source->setSlotRaw(SlotIndex, relocate(Target, Lanes.serialLane()));
     });
     drainTraceLanes(Lanes, Gray, Work);
     Phase.addCost(Work.TracedBytes - Before);
@@ -230,8 +216,6 @@ Heap::ScavengeWork Heap::runCopying(AllocClock Boundary) {
     }
     Phase.addCost(Work.TracedBytes - Before);
   }
-  for (unsigned I = 0; I != Lanes.numLanes(); ++I)
-    LaneProfile.mergeFrom(Lanes.lane(I).Profiler);
 
   // --- Weak-reference processing ----------------------------------------
   // Weak references follow moved targets and are cleared when the target

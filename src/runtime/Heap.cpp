@@ -20,6 +20,8 @@ using namespace dtb::runtime;
 using core::AllocClock;
 
 Heap::Heap(HeapConfig Config) : Config(Config) {
+  DTB_CHECK(Config.TraceThreads >= 1, "HeapConfig::TraceThreads must be at "
+                                      "least 1 (1 = serial trace)");
   static std::atomic<unsigned> NextHeapId{1};
   TelemetryTrack =
       "heap#" + std::to_string(NextHeapId.fetch_add(1,
@@ -42,18 +44,14 @@ Heap::~Heap() {
     ::operator delete(Block->Begin);
 }
 
-ThreadPool *Heap::tracePoolFor(bool *PoolIsPrivate) {
-  *PoolIsPrivate = false;
+ThreadPool *Heap::tracePool() {
   if (Config.TraceThreads == 1)
     return nullptr;
-  if (Config.TraceThreads == 0)
-    return defaultThreadPool();
   // N > 1: a heap-private pool of N - 1 workers (the collecting thread is
   // the N-th lane), created once and reused so collections do not respawn
   // threads.
   if (!TracePool)
     TracePool = std::make_unique<ThreadPool>(Config.TraceThreads - 1);
-  *PoolIsPrivate = true;
   return TracePool.get();
 }
 
@@ -67,9 +65,13 @@ void Heap::setPolicy(std::unique_ptr<core::BoundaryPolicy> NewPolicy) {
 Object *Heap::allocate(uint32_t NumSlots, uint32_t RawBytes) {
   Object *O = tryAllocate(NumSlots, RawBytes);
   if (!O)
-    fatalError("heap limit cannot be satisfied even after an emergency "
-               "full collection; use tryAllocate for a recoverable OOM");
+    fatalOutOfMemory();
   return O;
+}
+
+void Heap::fatalOutOfMemory() {
+  fatalError("heap limit cannot be satisfied even after an emergency "
+             "full collection; use tryAllocate for a recoverable OOM");
 }
 
 void Heap::recordDegradation(DegradationEvent Event) {
@@ -106,25 +108,7 @@ void Heap::recordDegradation(DegradationEvent Event) {
     DegradationLog.pop_front();
 }
 
-bool Heap::ensureHeadroom(uint64_t Gross) {
-  bool Injected = faultRequestedAt(FaultSite::Allocation);
-  auto overLimit = [&] {
-    return Config.HeapLimitBytes != 0 &&
-           ResidentBytes + Gross > Config.HeapLimitBytes;
-  };
-  if (!Injected && !overLimit())
-    return true;
-  const char *Why = overLimit() ? "heap limit reached"
-                                : "injected allocation fault";
-  return runPressureLadder(Gross, Why);
-}
-
 bool Heap::runPressureLadder(uint64_t Gross, const char *Why) {
-  auto overLimit = [&] {
-    return Config.HeapLimitBytes != 0 &&
-           ResidentBytes + Gross > Config.HeapLimitBytes;
-  };
-
   // Mid-cycle rungs: while an incremental cycle is open, automatic
   // triggering is suspended, so pressure must be relieved through the
   // cycle itself before the ordinary ladder below can run.
@@ -146,7 +130,7 @@ bool Heap::runPressureLadder(uint64_t Gross, const char *Why) {
                        std::string(Why) + "; ran " + std::to_string(Extra) +
                            " pressure " + (Extra == 1 ? "quantum" : "quanta") +
                            (Completed ? " (cycle completed)" : "")});
-    if (!overLimit())
+    if (!overLimit(Gross))
       return true;
 
     // Rung i2: complete-now — drain the cycle when its remaining gray
@@ -161,7 +145,7 @@ bool Heap::runPressureLadder(uint64_t Gross, const char *Why) {
         finishIncrementalScavenge();
         recordDegradation({DegradationKind::CycleCompletedEarly, Clock, Gross,
                            Config.HeapLimitBytes, ResidentBytes, Why});
-        if (!overLimit())
+        if (!overLimit(Gross))
           return true;
       }
     }
@@ -180,7 +164,7 @@ bool Heap::runPressureLadder(uint64_t Gross, const char *Why) {
     collect();
     recordDegradation({DegradationKind::EmergencyScavenge, Clock, Gross,
                        Config.HeapLimitBytes, ResidentBytes, Why});
-    if (!overLimit())
+    if (!overLimit(Gross))
       return true;
   }
 
@@ -193,56 +177,35 @@ bool Heap::runPressureLadder(uint64_t Gross, const char *Why) {
                        Gross, Config.HeapLimitBytes, ResidentBytes, Why});
   }
 
-  // Rung 3 (the AllocationFailure event) is recorded by the caller.
-  return !overLimit();
+  if (!overLimit(Gross))
+    return true;
+  // Rung 3: give up; tryAllocate returns null and allocate aborts.
+  recordDegradation({DegradationKind::AllocationFailure, Clock, Gross,
+                     Config.HeapLimitBytes, ResidentBytes,
+                     "degradation ladder exhausted"});
+  return false;
 }
 
 Object *Heap::tryAllocate(uint32_t NumSlots, uint32_t RawBytes) {
-  // Bound payloads so gross size arithmetic stays within uint32_t. This is
-  // a usage error, not memory pressure, so it stays fatal even here.
-  constexpr uint32_t MaxSlots = 1u << 24;
-  constexpr uint32_t MaxRaw = 1u << 28;
-  if (NumSlots > MaxSlots || RawBytes > MaxRaw)
-    fatalError("allocation exceeds object size limits");
-
+  uint64_t Gross = Object::grossBytesFor(NumSlots, RawBytes);
   // Collect before satisfying the request so the new object cannot be
   // reclaimed before the mutator has had a chance to root it.
   if (triggerDue())
     collectOnTrigger();
-
-  uint64_t Gross = sizeof(Object) +
-                   static_cast<uint64_t>(NumSlots) * sizeof(Object *) +
-                   RawBytes;
-  if (!ensureHeadroom(Gross)) {
-    recordDegradation({DegradationKind::AllocationFailure, Clock, Gross,
-                       Config.HeapLimitBytes, ResidentBytes,
-                       "degradation ladder exhausted"});
-    return nullptr;
-  }
+  if (const char *Why = allocationPressure(Gross))
+    if (!runPressureLadder(Gross, Why))
+      return nullptr;
   // A copying heap bump-allocates into its own block, which evacuation
   // empties and frees whole. A mark-sweep heap would empty a block only
   // when the block's last object died, so it keeps dedicated storage.
   Object *O = newObject(
       Config.Collector == CollectorKind::Copying ? &DirectBlock : nullptr,
       /*Owner=*/nullptr, NumSlots, RawBytes, Gross);
-
-  Clock += Gross;
-  O->Birth = Clock;
-
+  chargeAllocation(O, Gross);
+  // A direct allocation is in objects() as soon as this returns; context
+  // allocations wait for publication at the next safepoint.
   Objects.push_back(O);
-  ResidentBytes += Gross;
-  BytesSinceCollect += Gross;
   Demographics.setBytesSinceLastScavenge(BytesSinceCollect);
-  if (telemetry::enabled()) {
-    // Registry references are stable for the process lifetime, so the
-    // lookup cost is paid once; the disabled path is one relaxed load.
-    static telemetry::Counter &AllocCount =
-        telemetry::MetricsRegistry::global().counter("runtime.alloc.count");
-    static telemetry::Counter &AllocBytes =
-        telemetry::MetricsRegistry::global().counter("runtime.alloc.bytes");
-    AllocCount.add(1);
-    AllocBytes.add(Gross);
-  }
   return O;
 }
 
@@ -272,18 +235,11 @@ void Heap::writeSlot(Object *Source, uint32_t SlotIndex, Object *Value) {
       return;
     }
     RemSet.insert(Source, SlotIndex);
-    if (Config.RemSetMaxEntries != 0 &&
-        RemSet.size() > Config.RemSetMaxEntries) {
-      handleRemSetOverflow("remembered-set entry bound exceeded");
-    } else if (faultRequestedAt(FaultSite::WriteBarrier) &&
-               !RemSetPessimized) {
-      // The barrier's buffering "failed" after the entry was stored:
-      // degrade conservatively by pessimizing the next boundary so
-      // nothing can be missed.
-      RemSetPessimized = true;
-      recordDegradation({DegradationKind::BoundaryPessimized, Clock, 0, 0,
-                         ResidentBytes, "injected write-barrier fault"});
-    }
+    // An injected WriteBarrier fault means the barrier's buffering
+    // "failed" after the entry was stored: degrade conservatively by
+    // pessimizing the next boundary, so nothing can be missed.
+    if (!enforceRemSetBound() && faultRequestedAt(FaultSite::WriteBarrier))
+      pessimizeNextCollection("injected write-barrier fault");
   }
 }
 
@@ -298,6 +254,14 @@ void Heap::handleRemSetOverflow(const char *Why) {
   RemSet.clear();
 }
 
+void Heap::pessimizeNextCollection(const char *Why) {
+  if (RemSetPessimized)
+    return;
+  RemSetPessimized = true;
+  recordDegradation({DegradationKind::BoundaryPessimized, Clock, 0, 0,
+                     ResidentBytes, Why});
+}
+
 void Heap::rebuildRememberedSet() {
   // After a full trace every resident object is known; re-derive the set
   // exactly. Runs inside the collection pause — O(live pointers), which a
@@ -310,8 +274,7 @@ void Heap::rebuildRememberedSet() {
         RemSet.insert(O, I);
     }
   RemSetPessimized = false;
-  if (Config.RemSetMaxEntries != 0 && RemSet.size() > Config.RemSetMaxEntries)
-    handleRemSetOverflow("rebuilt remembered set still exceeds its bound");
+  enforceRemSetBound("rebuilt remembered set still exceeds its bound");
 }
 
 void Heap::dangerouslyWriteSlotWithoutBarrier(Object *Source,

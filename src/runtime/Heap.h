@@ -123,11 +123,10 @@ struct HeapConfig {
   /// When non-null, one human-readable line is written here per
   /// collection (a classic GC log). Not owned.
   std::FILE *LogStream = nullptr;
-  /// Trace lanes for the transitive mark/evacuation phase: 1 = serial
-  /// (default), N > 1 = a heap-private pool of N - 1 workers plus the
-  /// collecting thread, 0 = borrow the process-wide default pool
-  /// (--threads). Results are bit-identical for every setting; only wall
-  /// time changes.
+  /// Trace lanes for the transitive mark/evacuation phase, at least 1:
+  /// 1 = serial (default), N > 1 = a heap-private pool of N - 1 workers
+  /// plus the collecting thread. Results are bit-identical for every
+  /// setting; only wall time changes.
   unsigned TraceThreads = 1;
   /// Bounds the gross bytes of gray objects scanned per trace quantum
   /// (0 = unbounded, the whole trace runs as one quantum). A quantum may
@@ -428,13 +427,6 @@ public:
   profiling::PhaseProfiler &profiler() { return Profiler; }
   const profiling::PhaseProfiler &profiler() const { return Profiler; }
 
-  /// Aggregated per-lane trace work (phase "trace_lane"), merged from the
-  /// lanes' private profilers in fixed lane order after every round. Kept
-  /// separate from profiler(): how work splits across lanes depends on
-  /// scheduling, so this profile is *not* part of the deterministic
-  /// surface and never feeds BENCH exact metrics.
-  const profiling::PhaseProfiler &laneProfiler() const { return LaneProfile; }
-
   /// The decision explanation the policy filled during the most recent
   /// collect() (inputs, candidate epoch, predictions). Only populated
   /// while telemetry is enabled; check lastDecisionValid().
@@ -620,16 +612,18 @@ private:
     CollectionStats PrevStats;
   };
 
-  /// The pool trace rounds fan out over, per Config.TraceThreads: null for
-  /// serial, the shared default pool for 0, else a lazily created private
-  /// pool (*PoolIsPrivate reports which) reused across collections.
-  ThreadPool *tracePoolFor(bool *PoolIsPrivate);
+  /// The pool trace rounds fan out over: null for one lane, else a private
+  /// pool of TraceThreads - 1 workers, created once and reused.
+  ThreadPool *tracePool();
 
   /// Calls \p Visit(Object *&) on every root slot in the order every
   /// collector scans them: global roots, handle slots, pinned objects,
   /// then each context's roots in registration order. World stopped, so
   /// the slots are stable. Defined in runtime/Mutator.h.
   template <typename Fn> void forEachRoot(Fn &&Visit);
+  /// Calls \p Visit(Source, SlotIndex, Target) on each remembered entry
+  /// whose immune source points across boundary \p B; prunes stale ones.
+  template <typename Fn> void forEachCrossing(core::AllocClock B, Fn &&Visit);
   /// Marks \p O if it is threatened, unmarked, and born at or before
   /// \p BlackClock; accounts it and pushes it on \p Gray. Serial phases
   /// only (root/remset scans and barrier-grey replay).
@@ -657,10 +651,15 @@ private:
   /// IncrementalStep fault, and the mid-cycle pressure ladder; \p Why
   /// leads the CycleAborted event's detail.
   void abortIncrementalCycle(const char *Why);
-  /// Merges lane buffers (fixed lane order) into the gray queue, the
-  /// collection stats, demographics, and the lane profile.
+  /// Merges lane buffers (fixed lane order) into the gray queue and the
+  /// collection stats.
   void drainTraceLanes(TraceLaneSet &Lanes, std::vector<Object *> &Gray,
                        ScavengeWork &Work);
+  /// Every collection's prologue: checks \p Boundary and re-entry, forces
+  /// it to 0 while the remembered set is lost (\p RebuildRemSet), opens the
+  /// collection, resets stats and watchdog. Returns the boundary to use.
+  core::AllocClock openCollection(core::AllocClock Boundary,
+                                  bool &RebuildRemSet);
   /// Shared bookkeeping tail of every collection (record assembly,
   /// history, demographics close, optional remset rebuild, telemetry).
   core::ScavengeRecord completeCollection(core::AllocClock Boundary,
@@ -679,6 +678,14 @@ private:
   /// unless the trigger was served by the time this thread holds the world
   /// lock (see stopWorld). Returns true when this call collected.
   bool collectOnTrigger();
+  // Allocation rules both paths share (fast-path ones inline in Mutator.h).
+  bool overLimit(uint64_t Gross) const;
+  /// Consults the Allocation fault site: the pressure's cause, or null.
+  const char *allocationPressure(uint64_t Gross);
+  /// Stamps \p O's birth and charges its bytes to the clock, residency,
+  /// the trigger and the runtime.alloc.* counters.
+  void chargeAllocation(Object *O, uint64_t Gross);
+  [[noreturn]] static void fatalOutOfMemory();
   void reclaimObject(Object *O);
   /// Frees (or quarantines+poisons) an object's storage: dedicated storage
   /// at once, a block-interior object by counting it out of its block.
@@ -686,13 +693,10 @@ private:
 
   /// Appends to the bounded degradation log.
   void recordDegradation(DegradationEvent Event);
-  /// Walks the degradation ladder until \p Gross bytes fit under the heap
-  /// limit (or no limit/pressure applies). Returns false when the ladder
-  /// is exhausted.
-  bool ensureHeadroom(uint64_t Gross);
-  /// The ladder proper (rungs + events), entered once pressure is real;
-  /// \p Why heads the first event's detail. Split out so MutatorContext
-  /// can pre-check pressure lock-free and enter with the world stopped.
+  /// Walks the degradation ladder, entered once allocationPressure named
+  /// a cause (\p Why, the first event's detail), until \p Gross bytes fit
+  /// under the heap limit. Returns false, after recording the
+  /// AllocationFailure event, when the ladder is exhausted.
   bool runPressureLadder(uint64_t Gross, const char *Why);
   /// Refreshes the atomic mirrors of Inc.{Active,Boundary,BlackClock};
   /// call after every mutation of those fields.
@@ -712,6 +716,13 @@ private:
   };
   /// Drops the remembered set and schedules a pessimized rebuild.
   void handleRemSetOverflow(const char *Why);
+  /// The remembered-set bound, checked after inserting: over it, the set
+  /// overflows (handleRemSetOverflow) and this returns true.
+  bool enforceRemSetBound(
+      const char *Why = "remembered-set entry bound exceeded");
+  /// Forces the next collection to a full one, recording the transition
+  /// only (a repeated cause before that collection adds nothing).
+  void pessimizeNextCollection(const char *Why);
   /// Re-derives the remembered set from the live heap (after a full
   /// trace); restores barrier completeness.
   void rebuildRememberedSet();
@@ -740,8 +751,6 @@ private:
 
   /// Phase-level cost attribution for this heap's collections.
   profiling::PhaseProfiler Profiler;
-  /// Scheduling-dependent per-lane attribution (see laneProfiler()).
-  profiling::PhaseProfiler LaneProfile;
   /// Lazily created private trace pool (Config.TraceThreads > 1), reused
   /// across collections so lanes do not respawn threads per scavenge.
   std::unique_ptr<ThreadPool> TracePool;
@@ -818,10 +827,10 @@ private:
   /// The always-on black box (mutable: see flightRecorder()).
   mutable FlightRecorder FlightRec;
 
-  /// Pause-deadline watchdog state, reset at the start of every
-  /// collection (and by abortIncrementalScavenge). EffectiveBudgetBytes
-  /// overrides the configured scavenge budget once backoff engages
-  /// (0 = no override yet).
+  /// Pause-deadline watchdog state, reset by every collection's prologue
+  /// (openCollection) and read only while a collection or cycle is open.
+  /// EffectiveBudgetBytes overrides the configured scavenge budget once
+  /// backoff engages (0 = no override yet).
   unsigned WatchdogConsecutive = 0;
   bool WatchdogSerial = false;
   uint64_t EffectiveBudgetBytes = 0;

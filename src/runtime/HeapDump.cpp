@@ -74,57 +74,12 @@ dtb::runtime::collectDemographics(const Heap &H, AllocClock BaseAgeBytes) {
     Demo.RecentDegradations.push_back(describeDegradation(Log[I]));
 
   Demo.HeapBlocksResident = H.heapBlocksResident();
-  Demo.HeapBlockBytes = Demo.HeapBlocksResident * Heap::BlockBytes;
-
-  IncrementalCycleInfo Cycle = H.incrementalCycleInfo();
-  Demo.CycleActive = Cycle.Active;
-  Demo.CycleBoundary = Cycle.Boundary;
-  Demo.CycleBlackClock = Cycle.BlackClock;
-  Demo.CycleGrayObjects = Cycle.GrayObjects;
-  Demo.CycleGrayBytes = Cycle.GrayBytes;
-  Demo.CyclePendingGrayObjects = Cycle.PendingGrayObjects;
-  Demo.CycleTracedBytes = Cycle.TracedBytes;
-  Demo.CycleQuanta = Cycle.Quanta;
-  Demo.CycleBudgetBytes = Cycle.BudgetBytes;
-  Demo.CycleSerialDegraded = Cycle.SerialDegraded;
-
+  Demo.Cycle = H.incrementalCycleInfo();
   Demo.Phase = gcPhaseName(H.phase());
-  Demo.MutatorContexts = H.mutatorContexts().size();
-  MutatorRuntimeStats Mut = H.mutatorStats();
-  Demo.SafepointRendezvous = Mut.SafepointRendezvous;
-  Demo.TlabBlocksResident = Mut.TlabBlocksResident;
-  Demo.TlabCarvedBytes = Mut.TlabCarvedBytes;
-  Demo.TlabWastedBytes = Mut.TlabWastedBytes;
-  Demo.PublishedObjects = Mut.PublishedObjects;
-  Demo.BarrierFlushes = Mut.BarrierFlushes;
-
-  for (const MutatorContext *Ctx : H.mutatorContexts()) {
-    const MutatorContext::Stats &S = Ctx->stats();
-    HeapDemographics::MutatorRow Row;
-    Row.Id = Ctx->id();
-    Row.State = mutatorStateName(Ctx->state());
-    Row.Allocations = S.Allocations;
-    Row.AllocatedBytes = S.AllocatedBytes;
-    Row.TlabRefills = S.TlabRefills;
-    Row.BarrierBufferedEntries = S.BarrierBufferedEntries;
-    Row.BarrierFlushes = S.BarrierFlushes;
-    Row.SafepointYields = S.SafepointYields;
-    Row.TriggeredCollections = S.TriggeredCollections;
-#if DTB_TELEMETRY
-    Row.TlabWastedBytes = S.Obs.TlabWastedBytes;
-    Row.BarrierHighWater = S.Obs.BarrierHighWater;
-    Row.SafepointPolls = S.Obs.SafepointPolls;
-    Row.Parks = S.Obs.Parks;
-#endif
-    Demo.Mutators.push_back(std::move(Row));
-  }
-
-  const SafepointRendezvousRecord &R = H.lastSafepointRendezvous();
-  Demo.RendezvousSerial = R.Serial;
-  Demo.RendezvousTtspMillis = R.TtspMillis;
-  Demo.RendezvousArrivals = R.Contexts;
-  Demo.RendezvousStragglerContext = R.StragglerContext;
-  Demo.RendezvousStraggler = stragglerKindName(R.Straggler);
+  Demo.MutatorStats = H.mutatorStats();
+  for (const MutatorContext *Ctx : H.mutatorContexts())
+    Demo.Mutators.push_back({Ctx->id(), Ctx->state(), Ctx->stats()});
+  Demo.Rendezvous = H.lastSafepointRendezvous();
 
   Demo.FlightEventsRecorded = H.flightRecorder().recorded();
   for (const FlightEvent &E : H.flightRecorder().snapshot())
@@ -179,67 +134,78 @@ void dtb::runtime::printDemographics(const HeapDemographics &Demo,
                  "heap blocks: %llu resident, %llu carved bytes (direct "
                  "allocation and evacuation)\n",
                  static_cast<unsigned long long>(Demo.HeapBlocksResident),
-                 static_cast<unsigned long long>(Demo.HeapBlockBytes));
+                 static_cast<unsigned long long>(Demo.HeapBlocksResident *
+                                                 Heap::BlockBytes));
 
-  if (Demo.CycleActive) {
+  const IncrementalCycleInfo &Cycle = Demo.Cycle;
+  if (Cycle.Active) {
     std::fprintf(Out,
                  "incremental cycle: tb=%llu black=%llu gray %llu objects / "
                  "%llu bytes (+%llu pending), %llu quanta so far, traced "
                  "%llu, budget %llu%s\n",
-                 static_cast<unsigned long long>(Demo.CycleBoundary),
-                 static_cast<unsigned long long>(Demo.CycleBlackClock),
-                 static_cast<unsigned long long>(Demo.CycleGrayObjects),
-                 static_cast<unsigned long long>(Demo.CycleGrayBytes),
-                 static_cast<unsigned long long>(Demo.CyclePendingGrayObjects),
-                 static_cast<unsigned long long>(Demo.CycleQuanta),
-                 static_cast<unsigned long long>(Demo.CycleTracedBytes),
-                 static_cast<unsigned long long>(Demo.CycleBudgetBytes),
-                 Demo.CycleSerialDegraded ? " [watchdog: serial-degraded]"
-                                          : "");
+                 static_cast<unsigned long long>(Cycle.Boundary),
+                 static_cast<unsigned long long>(Cycle.BlackClock),
+                 static_cast<unsigned long long>(Cycle.GrayObjects),
+                 static_cast<unsigned long long>(Cycle.GrayBytes),
+                 static_cast<unsigned long long>(Cycle.PendingGrayObjects),
+                 static_cast<unsigned long long>(Cycle.Quanta),
+                 static_cast<unsigned long long>(Cycle.TracedBytes),
+                 static_cast<unsigned long long>(Cycle.BudgetBytes),
+                 Cycle.SerialDegraded ? " [watchdog: serial-degraded]" : "");
   }
 
-  if (Demo.MutatorContexts != 0) {
+  if (!Demo.Mutators.empty()) {
+    const MutatorRuntimeStats &Mut = Demo.MutatorStats;
     std::fprintf(Out,
-                 "mutators: %llu context%s, phase %s, %llu rendezvous; tlab "
+                 "mutators: %zu context%s, phase %s, %llu rendezvous; tlab "
                  "%llu blocks resident (%llu carved, %llu wasted bytes), "
                  "%llu published, %llu barrier flushes\n",
-                 static_cast<unsigned long long>(Demo.MutatorContexts),
-                 Demo.MutatorContexts == 1 ? "" : "s", Demo.Phase.c_str(),
-                 static_cast<unsigned long long>(Demo.SafepointRendezvous),
-                 static_cast<unsigned long long>(Demo.TlabBlocksResident),
-                 static_cast<unsigned long long>(Demo.TlabCarvedBytes),
-                 static_cast<unsigned long long>(Demo.TlabWastedBytes),
-                 static_cast<unsigned long long>(Demo.PublishedObjects),
-                 static_cast<unsigned long long>(Demo.BarrierFlushes));
-    for (const HeapDemographics::MutatorRow &Row : Demo.Mutators)
+                 Demo.Mutators.size(), Demo.Mutators.size() == 1 ? "" : "s",
+                 Demo.Phase.c_str(),
+                 static_cast<unsigned long long>(Mut.SafepointRendezvous),
+                 static_cast<unsigned long long>(Mut.TlabBlocksResident),
+                 static_cast<unsigned long long>(Mut.TlabCarvedBytes),
+                 static_cast<unsigned long long>(Mut.TlabWastedBytes),
+                 static_cast<unsigned long long>(Mut.PublishedObjects),
+                 static_cast<unsigned long long>(Mut.BarrierFlushes));
+    for (const HeapDemographics::MutatorRow &Row : Demo.Mutators) {
+      const MutatorContext::Stats &S = Row.Stats;
+      uint64_t Wasted = 0, HighWater = 0, Polls = 0, Parks = 0;
+#if DTB_TELEMETRY
+      Wasted = S.Obs.TlabWastedBytes;
+      HighWater = S.Obs.BarrierHighWater;
+      Polls = S.Obs.SafepointPolls;
+      Parks = S.Obs.Parks;
+#endif
       std::fprintf(Out,
                    "  ctx %llu [%s]: %llu allocs / %llu bytes, %llu tlab "
                    "refills (%llu wasted), barrier %llu buffered (hw %llu) "
                    "/ %llu flushes, %llu yields / %llu polls / %llu parks, "
                    "%llu triggered\n",
-                   static_cast<unsigned long long>(Row.Id), Row.State.c_str(),
-                   static_cast<unsigned long long>(Row.Allocations),
-                   static_cast<unsigned long long>(Row.AllocatedBytes),
-                   static_cast<unsigned long long>(Row.TlabRefills),
-                   static_cast<unsigned long long>(Row.TlabWastedBytes),
-                   static_cast<unsigned long long>(Row.BarrierBufferedEntries),
-                   static_cast<unsigned long long>(Row.BarrierHighWater),
-                   static_cast<unsigned long long>(Row.BarrierFlushes),
-                   static_cast<unsigned long long>(Row.SafepointYields),
-                   static_cast<unsigned long long>(Row.SafepointPolls),
-                   static_cast<unsigned long long>(Row.Parks),
-                   static_cast<unsigned long long>(Row.TriggeredCollections));
-    if (Demo.RendezvousSerial != 0)
+                   static_cast<unsigned long long>(Row.Id),
+                   mutatorStateName(Row.State),
+                   static_cast<unsigned long long>(S.Allocations),
+                   static_cast<unsigned long long>(S.AllocatedBytes),
+                   static_cast<unsigned long long>(S.TlabRefills),
+                   static_cast<unsigned long long>(Wasted),
+                   static_cast<unsigned long long>(S.BarrierBufferedEntries),
+                   static_cast<unsigned long long>(HighWater),
+                   static_cast<unsigned long long>(S.BarrierFlushes),
+                   static_cast<unsigned long long>(S.SafepointYields),
+                   static_cast<unsigned long long>(Polls),
+                   static_cast<unsigned long long>(Parks),
+                   static_cast<unsigned long long>(S.TriggeredCollections));
+    }
+    const SafepointRendezvousRecord &R = Demo.Rendezvous;
+    if (R.Serial != 0)
       std::fprintf(Out,
                    "  safepoint: rendezvous #%llu ttsp %.3f ms, %llu "
                    "arrival%s, straggler ctx %llu (%s)\n",
-                   static_cast<unsigned long long>(Demo.RendezvousSerial),
-                   Demo.RendezvousTtspMillis,
-                   static_cast<unsigned long long>(Demo.RendezvousArrivals),
-                   Demo.RendezvousArrivals == 1 ? "" : "s",
-                   static_cast<unsigned long long>(
-                       Demo.RendezvousStragglerContext),
-                   Demo.RendezvousStraggler.c_str());
+                   static_cast<unsigned long long>(R.Serial), R.TtspMillis,
+                   static_cast<unsigned long long>(R.Contexts),
+                   R.Contexts == 1 ? "" : "s",
+                   static_cast<unsigned long long>(R.StragglerContext),
+                   stragglerKindName(R.Straggler));
   }
 
   if (Demo.FlightEventsRecorded != 0) {

@@ -18,6 +18,7 @@
 
 #include "core/AllocClock.h"
 #include "runtime/Degradation.h"
+#include "runtime/Mutator.h"
 
 #include <array>
 #include <cstdint>
@@ -27,8 +28,6 @@
 
 namespace dtb {
 namespace runtime {
-
-class Heap;
 
 /// One age band of the demographics report.
 struct AgeBand {
@@ -57,61 +56,30 @@ struct HeapDemographics {
   std::vector<std::string> RecentDegradations;
   /// Bump blocks a copying heap carved for itself (its direct-allocation
   /// block and the trace lanes' evacuation blocks) that are still
-  /// resident, and the bytes they were carved with. A block stays until
-  /// its last object is evacuated or reclaimed, so partly emptied blocks
-  /// show here. Context TLABs are counted with the mutators below.
+  /// resident, Heap::BlockBytes each. A block stays until its last object
+  /// is evacuated or reclaimed, so partly emptied blocks show here.
+  /// Context TLABs are counted with the mutators below.
   uint64_t HeapBlocksResident = 0;
-  uint64_t HeapBlockBytes = 0;
-  /// Open-incremental-cycle state (Heap::incrementalCycleInfo mirror;
-  /// all-zero when no cycle is open). A heap dumped mid-cycle is mostly
-  /// explained by these: the boundary/black window says what is
-  /// threatened, the gray backlog says how far marking got.
-  bool CycleActive = false;
-  core::AllocClock CycleBoundary = 0;
-  core::AllocClock CycleBlackClock = 0;
-  uint64_t CycleGrayObjects = 0;
-  uint64_t CycleGrayBytes = 0;
-  uint64_t CyclePendingGrayObjects = 0;
-  uint64_t CycleTracedBytes = 0;
-  uint64_t CycleQuanta = 0;
-  uint64_t CycleBudgetBytes = 0;
-  bool CycleSerialDegraded = false;
+  /// The open incremental cycle (all-zero when none is open). A heap
+  /// dumped mid-cycle is mostly explained by it: the boundary/black
+  /// window says what is threatened, the gray backlog says how far
+  /// marking got.
+  IncrementalCycleInfo Cycle;
   /// Multi-mutator runtime state (all-zero / "not-collecting" for a heap
-  /// with no registered contexts): the phase machine, registered context
-  /// count, and the TLAB/safepoint counters from Heap::mutatorStats().
+  /// with no registered contexts): the phase machine and the
+  /// TLAB/safepoint counters.
   std::string Phase = "not-collecting";
-  uint64_t MutatorContexts = 0;
-  uint64_t SafepointRendezvous = 0;
-  uint64_t TlabBlocksResident = 0;
-  uint64_t TlabCarvedBytes = 0;
-  uint64_t TlabWastedBytes = 0;
-  uint64_t PublishedObjects = 0;
-  uint64_t BarrierFlushes = 0;
-  /// One row per registered context (registration order), from
-  /// MutatorContext::stats(). The telemetry-gated fields (waste,
-  /// high-water, polls, parks) read zero under -DDTB_ENABLE_TELEMETRY=OFF.
+  MutatorRuntimeStats MutatorStats;
+  /// One row per registered context, in registration order. Stats.Obs is
+  /// empty under -DDTB_ENABLE_TELEMETRY=OFF; the dump prints it as zeros.
   struct MutatorRow {
     uint64_t Id = 0;
-    std::string State = "at-safepoint";
-    uint64_t Allocations = 0;
-    uint64_t AllocatedBytes = 0;
-    uint64_t TlabRefills = 0;
-    uint64_t TlabWastedBytes = 0;
-    uint64_t BarrierBufferedEntries = 0;
-    uint64_t BarrierHighWater = 0;
-    uint64_t BarrierFlushes = 0;
-    uint64_t SafepointYields = 0;
-    uint64_t SafepointPolls = 0;
-    uint64_t Parks = 0;
-    uint64_t TriggeredCollections = 0;
+    MutatorState State = MutatorState::AtSafepoint;
+    MutatorContext::Stats Stats;
   };
   std::vector<MutatorRow> Mutators;
   /// The most recent safepoint rendezvous (Serial 0 = none yet).
-  uint64_t RendezvousSerial = 0;
-  double RendezvousTtspMillis = 0.0;
-  uint64_t RendezvousArrivals = 0;
-  uint64_t RendezvousStragglerContext = 0;
-  std::string RendezvousStraggler = "none";
+  SafepointRendezvousRecord Rendezvous;
   /// Flight-recorder tail: total events ever recorded plus pre-rendered
   /// lines for the retained ones (oldest first).
   uint64_t FlightEventsRecorded = 0;

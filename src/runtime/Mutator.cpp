@@ -191,16 +191,13 @@ bool Heap::stopWorld(bool ForTrigger) {
       E.Args.push_back(telemetry::arg("arrival_order", std::move(Arrivals)));
       telemetry::recorder().emit(std::move(E));
     }
-    if (HandshakeDistrusted && !RemSetPessimized) {
-      // A distrusted handshake means the flushed barrier state may be
-      // incomplete; pessimizing the next collection to a full trace makes
-      // any missed entry irrelevant (same recovery as a barrier fault).
-      RemSetPessimized = true;
-      recordDegradation({DegradationKind::BoundaryPessimized, Clock, 0, 0,
-                         ResidentBytes,
-                         "injected safepoint-handshake fault; mutator "
-                         "count-in distrusted, next collection pessimized"});
-    }
+    // A distrusted handshake means the flushed barrier state may be
+    // incomplete; pessimizing the next collection to a full trace makes
+    // any missed entry irrelevant (same recovery as a barrier fault).
+    if (HandshakeDistrusted)
+      pessimizeNextCollection("injected safepoint-handshake fault; mutator "
+                              "count-in distrusted, next collection "
+                              "pessimized");
   }
   Phase.store(GcPhase::Collecting, std::memory_order_relaxed);
   return true;
@@ -432,8 +429,7 @@ void MutatorContext::truncateRoots(size_t Count) {
 Object *MutatorContext::allocate(uint32_t NumSlots, uint32_t RawBytes) {
   Object *O = tryAllocate(NumSlots, RawBytes);
   if (!O)
-    fatalError("heap limit cannot be satisfied even after an emergency "
-               "full collection; use tryAllocate for a recoverable OOM");
+    Heap::fatalOutOfMemory();
   return O;
 }
 
@@ -448,8 +444,7 @@ size_t MutatorContext::allocateRooted(uint32_t NumSlots, uint32_t RawBytes) {
   countIn();
   Object *O = allocateInOp(NumSlots, RawBytes);
   if (!O)
-    fatalError("heap limit cannot be satisfied even after an emergency "
-               "full collection; use tryAllocate for a recoverable OOM");
+    Heap::fatalOutOfMemory();
   Roots.push_back(O);
   size_t Index = Roots.size() - 1;
   countOut();
@@ -457,11 +452,7 @@ size_t MutatorContext::allocateRooted(uint32_t NumSlots, uint32_t RawBytes) {
 }
 
 Object *MutatorContext::allocateInOp(uint32_t NumSlots, uint32_t RawBytes) {
-  constexpr uint32_t MaxSlots = 1u << 24;
-  constexpr uint32_t MaxRaw = 1u << 28;
-  if (NumSlots > MaxSlots || RawBytes > MaxRaw)
-    fatalError("allocation exceeds object size limits");
-
+  uint64_t Gross = Object::grossBytesFor(NumSlots, RawBytes);
   // Collect before satisfying the request so the new object cannot be
   // reclaimed before the mutator roots it; counted out, since waiting on
   // the world lock while Mutating would deadlock its holder's rendezvous.
@@ -475,29 +466,13 @@ Object *MutatorContext::allocateInOp(uint32_t NumSlots, uint32_t RawBytes) {
     countIn();
   }
 
-  uint64_t Gross = sizeof(Object) +
-                   static_cast<uint64_t>(NumSlots) * sizeof(Object *) +
-                   RawBytes;
-
-  // Headroom: the fast path pre-checks pressure lock-free; only genuine
-  // pressure (or an injected Allocation fault) stops the world and walks
-  // the shared degradation ladder.
-  bool Injected = faultRequestedAt(FaultSite::Allocation);
-  auto overLimit = [&] {
-    return H.Config.HeapLimitBytes != 0 &&
-           H.ResidentBytes.load(std::memory_order_relaxed) + Gross >
-               H.Config.HeapLimitBytes;
-  };
-  if (Injected || overLimit()) {
-    const char *Why =
-        overLimit() ? "heap limit reached" : "injected allocation fault";
+  // The pressure check is lock-free; only genuine pressure (or an
+  // injected Allocation fault) stops the world and walks the shared
+  // degradation ladder.
+  if (const char *Why = H.allocationPressure(Gross)) {
     countOut();
     H.stopWorld();
     bool Ok = H.runPressureLadder(Gross, Why);
-    if (!Ok)
-      H.recordDegradation({DegradationKind::AllocationFailure, H.Clock,
-                           Gross, H.Config.HeapLimitBytes, H.ResidentBytes,
-                           "degradation ladder exhausted"});
     H.resumeWorld();
     countIn();
     if (!Ok)
@@ -509,24 +484,12 @@ Object *MutatorContext::allocateInOp(uint32_t NumSlots, uint32_t RawBytes) {
   Object *O = H.newObject(&Tlab, this, NumSlots, RawBytes, Gross);
   if (O->storageKind() == Object::StorageOwn)
     S.HumongousAllocations += 1;
-  // One relaxed fetch_add claims this allocation's disjoint clock
-  // interval; births stay unique and monotone per context however threads
-  // interleave, and single-threaded driving reproduces the direct path's
-  // clock sequence exactly.
-  O->Birth = H.Clock.fetch_add(Gross, std::memory_order_relaxed) + Gross;
+  // Single-threaded driving reproduces the direct path's clock sequence
+  // exactly (see chargeAllocation).
+  H.chargeAllocation(O, Gross);
   Pending.push_back(O);
-  H.ResidentBytes.fetch_add(Gross, std::memory_order_relaxed);
-  H.BytesSinceCollect.fetch_add(Gross, std::memory_order_relaxed);
   S.Allocations += 1;
   S.AllocatedBytes += Gross;
-  if (telemetry::enabled()) {
-    static telemetry::Counter &AllocCount =
-        telemetry::MetricsRegistry::global().counter("runtime.alloc.count");
-    static telemetry::Counter &AllocBytes =
-        telemetry::MetricsRegistry::global().counter("runtime.alloc.bytes");
-    AllocCount.add(1);
-    AllocBytes.add(Gross);
-  }
   return O;
 }
 
@@ -600,9 +563,7 @@ void MutatorContext::writeSlot(Object *Source, uint32_t SlotIndex,
         H.barrierSinkFailed(/*Locked=*/true);
       } else {
         H.RemSet.insert(Source, SlotIndex);
-        if (H.Config.RemSetMaxEntries != 0 &&
-            H.RemSet.size() > H.Config.RemSetMaxEntries)
-          H.handleRemSetOverflow("remembered-set entry bound exceeded");
+        H.enforceRemSetBound();
       }
     }
   }
@@ -626,9 +587,7 @@ uint64_t MutatorContext::flushBarrierBuffer(bool WorldStopped) {
   auto Deliver = [&] {
     for (const auto &Entry : BarrierBuffer)
       H.RemSet.insert(Entry.first, Entry.second);
-    if (H.Config.RemSetMaxEntries != 0 &&
-        H.RemSet.size() > H.Config.RemSetMaxEntries)
-      H.handleRemSetOverflow("remembered-set entry bound exceeded");
+    H.enforceRemSetBound(); // Once for the whole buffer.
     H.MutStats.BarrierFlushes += 1;
     H.MutStats.BarrierFlushedEntries += Count;
   };

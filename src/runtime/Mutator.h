@@ -45,8 +45,11 @@
 
 #include "runtime/Heap.h"
 #include "runtime/Safepoint.h"
+#include "support/FaultInjector.h"
+#include "telemetry/Telemetry.h"
 
 #include <atomic>
+#include <cassert>
 #include <cstdint>
 #include <deque>
 #include <utility>
@@ -211,6 +214,71 @@ template <typename Fn> void Heap::forEachRoot(Fn &&Visit) {
   for (MutatorContext *Ctx : Mutators)
     for (Object *&Root : Ctx->Roots)
       Visit(Root);
+}
+
+// Entries are re-validated against the live slot contents: ones that no
+// longer hold a forward-in-time pointer (overwritten or cleared) are
+// pruned. Both counts land in LastStats.
+template <typename Fn>
+void Heap::forEachCrossing(core::AllocClock B, Fn &&Visit) {
+  RemSet.forEachAndPrune([&](Object *Source, uint32_t SlotIndex) {
+    assert(Source->isAlive() && "remembered set names a dead source");
+    Object *Target = Source->slot(SlotIndex);
+    if (!Target || Target->birth() <= Source->birth()) {
+      LastStats.RememberedSetPruned += 1;
+      return false; // Stale: no longer a forward-in-time pointer.
+    }
+    if (Source->birth() <= B && Target->birth() > B) {
+      LastStats.RememberedSetRoots += 1;
+      Visit(Source, SlotIndex, Target);
+    }
+    return true;
+  });
+}
+
+//===----------------------------------------------------------------------===//
+// The rules both allocation paths and both store paths share. They sit on
+// the fast paths of Heap.cpp and Mutator.cpp, so they are inline here.
+//===----------------------------------------------------------------------===//
+
+inline bool Heap::overLimit(uint64_t Gross) const {
+  return Config.HeapLimitBytes != 0 &&
+         ResidentBytes.load(std::memory_order_relaxed) + Gross >
+             Config.HeapLimitBytes;
+}
+
+inline const char *Heap::allocationPressure(uint64_t Gross) {
+  bool Injected = faultRequestedAt(FaultSite::Allocation);
+  if (overLimit(Gross))
+    return "heap limit reached";
+  return Injected ? "injected allocation fault" : nullptr;
+}
+
+inline void Heap::chargeAllocation(Object *O, uint64_t Gross) {
+  // One relaxed fetch_add claims this allocation's disjoint clock
+  // interval; births stay unique and monotone per context however threads
+  // interleave, and on one thread the clock takes the same values as
+  // `Clock += Gross` would.
+  O->Birth = Clock.fetch_add(Gross, std::memory_order_relaxed) + Gross;
+  ResidentBytes.fetch_add(Gross, std::memory_order_relaxed);
+  BytesSinceCollect.fetch_add(Gross, std::memory_order_relaxed);
+  if (telemetry::enabled()) {
+    // Registry references are stable for the process lifetime, so the
+    // lookup cost is paid once; the disabled path is one relaxed load.
+    static telemetry::Counter &AllocCount =
+        telemetry::MetricsRegistry::global().counter("runtime.alloc.count");
+    static telemetry::Counter &AllocBytes =
+        telemetry::MetricsRegistry::global().counter("runtime.alloc.bytes");
+    AllocCount.add(1);
+    AllocBytes.add(Gross);
+  }
+}
+
+inline bool Heap::enforceRemSetBound(const char *Why) {
+  if (Config.RemSetMaxEntries == 0 || RemSet.size() <= Config.RemSetMaxEntries)
+    return false;
+  handleRemSetOverflow(Why);
+  return true;
 }
 
 } // namespace runtime

@@ -18,6 +18,7 @@
 #define DTB_RUNTIME_OBJECT_H
 
 #include "core/AllocClock.h"
+#include "support/Error.h"
 
 #include <atomic>
 #include <cassert>
@@ -66,6 +67,17 @@ public:
   /// Total footprint (header + slots + raw data) — the "size" the
   /// collector accounts in bytes traced and reclaimed.
   uint32_t grossBytes() const { return GrossBytes; }
+  /// The footprint of a new object. Payloads are bounded so it fits the
+  /// header; a request past the bounds is a usage error, not memory
+  /// pressure, so it is fatal even on the recoverable allocation paths.
+  static uint64_t grossBytesFor(uint32_t NumSlots, uint32_t RawBytes) {
+    constexpr uint32_t MaxSlots = 1u << 24;
+    constexpr uint32_t MaxRaw = 1u << 28;
+    if (NumSlots > MaxSlots || RawBytes > MaxRaw)
+      fatalError("allocation exceeds object size limits");
+    return sizeof(Object) +
+           static_cast<uint64_t>(NumSlots) * sizeof(Object *) + RawBytes;
+  }
   /// The allocation-clock value at which this object was born.
   core::AllocClock birth() const { return Birth; }
 

@@ -26,16 +26,14 @@
 /// runs inline whenever the caller is already on any pool's worker thread
 /// (nested fan-out protection), which would silently serialize collections
 /// running inside harness workers. TraceLaneSet does its own submit/join
-/// fan-out and only spans lanes when that is safe: always on a private
-/// pool, and on the shared default pool only when the caller is not
-/// itself a pool worker.
+/// fan-out over the heap's private pool, whose workers never run anything
+/// else, so fanning out is safe from any calling thread.
 ///
 //===----------------------------------------------------------------------===//
 
 #ifndef DTB_RUNTIME_TRACELANES_H
 #define DTB_RUNTIME_TRACELANES_H
 
-#include "profiling/Profiler.h"
 #include "runtime/Object.h"
 #include "support/FaultInjector.h"
 #include "support/ThreadPool.h"
@@ -73,8 +71,6 @@ struct TraceLane {
   uint64_t ObjectsTraced = 0;
   uint64_t ObjectsMoved = 0;
   uint64_t OverflowEvents = 0;
-  /// Per-lane profiler; merged into the heap's lane profile in lane order.
-  profiling::PhaseProfiler Profiler;
 
   void addChild(Object *O) {
     if (Children.size() < ChildCap) {
@@ -98,14 +94,9 @@ private:
 /// heap and reused across collections.
 class TraceLaneSet {
 public:
-  /// \p Pool may be null (serial). \p PoolIsPrivate distinguishes a pool
-  /// owned by the heap (always safe to fan out over) from the shared
-  /// default pool (safe only when the caller is not itself a pool worker —
-  /// a worker blocking on helpers no free worker can run would deadlock).
-  TraceLaneSet(ThreadPool *Pool, bool PoolIsPrivate)
-      : Pool(Pool),
-        CanFanOut(Pool && (PoolIsPrivate || !ThreadPool::onWorkerThread())),
-        Lanes(CanFanOut ? Pool->numThreads() + 1 : 1) {
+  /// \p Pool, the heap's private trace pool, may be null (one lane).
+  explicit TraceLaneSet(ThreadPool *Pool)
+      : Pool(Pool), Lanes(Pool ? Pool->numThreads() + 1 : 1) {
     for (TraceLane &Lane : Lanes) {
       Lane.Overflow = &Overflow;
       Lane.OverflowMutex = &OverflowMutex;
@@ -143,10 +134,8 @@ public:
       Lane.ChildCap = Degrade ? 0 : TraceLaneChildCap;
 
     if (L == 1 || N < TraceLaneMinRound || Slots < TraceLaneMinRound) {
-      runLane(Lanes[0], [&] {
-        for (size_t I = 0; I != N; ++I)
-          Scan(Items[I], Lanes[0]);
-      });
+      for (size_t I = 0; I != N; ++I)
+        Scan(Items[I], Lanes[0]);
       return;
     }
 
@@ -157,28 +146,26 @@ public:
 
     auto LaneBody = [&](unsigned LaneIndex) {
       TraceLane &Lane = Lanes[LaneIndex];
-      runLane(Lane, [&] {
-        if (Degrade) {
-          // Single shared cursor: every lane fights for every item.
-          for (;;) {
-            size_t I = Cursors[0].fetch_add(1, std::memory_order_relaxed);
-            if (I >= N)
-              break;
-            Scan(Items[I], Lane);
-          }
-          return;
+      if (Degrade) {
+        // Single shared cursor: every lane fights for every item.
+        for (;;) {
+          size_t I = Cursors[0].fetch_add(1, std::memory_order_relaxed);
+          if (I >= N)
+            break;
+          Scan(Items[I], Lane);
         }
-        for (unsigned V = 0; V != L; ++V) {
-          unsigned Victim = (LaneIndex + V) % L;
-          size_t End = SegmentBegin(Victim + 1);
-          for (;;) {
-            size_t I = Cursors[Victim].fetch_add(1, std::memory_order_relaxed);
-            if (I >= End)
-              break;
-            Scan(Items[I], Lane);
-          }
+        return;
+      }
+      for (unsigned V = 0; V != L; ++V) {
+        unsigned Victim = (LaneIndex + V) % L;
+        size_t End = SegmentBegin(Victim + 1);
+        for (;;) {
+          size_t I = Cursors[Victim].fetch_add(1, std::memory_order_relaxed);
+          if (I >= End)
+            break;
+          Scan(Items[I], Lane);
         }
-      });
+      }
     };
 
     std::vector<std::future<void>> Helpers;
@@ -191,15 +178,7 @@ public:
   }
 
 private:
-  template <typename BodyFn> void runLane(TraceLane &Lane, const BodyFn &Body) {
-    profiling::ProfilePhase Phase(&Lane.Profiler, profiling::phase::TraceLane);
-    uint64_t Before = Lane.TracedBytes;
-    Body();
-    Phase.addCost(Lane.TracedBytes - Before);
-  }
-
   ThreadPool *Pool;
-  bool CanFanOut;
   std::vector<TraceLane> Lanes;
   bool DegradeNextRound = false;
   bool DegradeAllRounds = false;

@@ -169,3 +169,11 @@ TEST(HeapTest, NoTriggerWithoutPolicy) {
     H.allocate(0, 64);
   EXPECT_EQ(H.history().size(), 0u);
 }
+
+TEST(HeapDeathTest, ZeroTraceLanesIsAUsageError) {
+  // A heap traces on at least one lane; there is no "borrow the shared
+  // pool" setting.
+  HeapConfig Config = manualConfig();
+  Config.TraceThreads = 0;
+  EXPECT_DEATH(Heap H(Config), "TraceThreads must be at least 1");
+}

@@ -124,13 +124,13 @@ TEST(HeapDumpTest, ReportsPerContextMutatorStats) {
   HeapDemographics Demo = collectDemographics(H);
   ASSERT_EQ(Demo.Mutators.size(), 2u);
   EXPECT_EQ(Demo.Mutators[0].Id, 1u);
-  EXPECT_EQ(Demo.Mutators[0].Allocations, 20u);
-  EXPECT_GT(Demo.Mutators[0].AllocatedBytes, 0u);
+  EXPECT_EQ(Demo.Mutators[0].Stats.Allocations, 20u);
+  EXPECT_GT(Demo.Mutators[0].Stats.AllocatedBytes, 0u);
   EXPECT_EQ(Demo.Mutators[1].Id, 2u);
-  EXPECT_EQ(Demo.Mutators[1].Allocations, 1u);
-  EXPECT_GT(Demo.RendezvousSerial, 0u);
-  EXPECT_EQ(Demo.RendezvousArrivals, 2u);
-  EXPECT_EQ(Demo.RendezvousStraggler, "polling");
+  EXPECT_EQ(Demo.Mutators[1].Stats.Allocations, 1u);
+  EXPECT_GT(Demo.Rendezvous.Serial, 0u);
+  EXPECT_EQ(Demo.Rendezvous.Contexts, 2u);
+  EXPECT_EQ(Demo.Rendezvous.Straggler, StragglerKind::Polling);
   EXPECT_GT(Demo.FlightEventsRecorded, 0u);
   EXPECT_FALSE(Demo.FlightEvents.empty());
 
