@@ -29,7 +29,6 @@
 #include "workload/Workload.h"
 
 #include <cstdio>
-#include <mutex>
 #include <string>
 #include <vector>
 
@@ -307,20 +306,22 @@ int main(int Argc, char **Argv) {
               static_cast<unsigned long long>(TriggerBytes));
 
   std::vector<CaseOutcome> Outcomes(Cases.size());
-  std::mutex PrintMutex;
   parallelFor(Cases.size(), [&](size_t I) {
     Outcomes[I] = runCase(Cases[I], ArtifactsDir);
-    std::lock_guard<std::mutex> Lock(PrintMutex);
+  });
+
+  // Printed in case order once every case has run, so the output is the
+  // same for any thread count.
+  size_t Divergent = 0;
+  for (size_t I = 0; I != Cases.size(); ++I) {
     std::printf("  %-28s %s (%zu scavenges)\n", caseLabel(Cases[I]).c_str(),
                 Outcomes[I].Agreed ? "agree  " : "DIVERGE",
                 Outcomes[I].Scavenges);
-    if (!Outcomes[I].Agreed)
+    if (!Outcomes[I].Agreed) {
       std::printf("%s", Outcomes[I].Detail.c_str());
-  });
-
-  size_t Divergent = 0;
-  for (const CaseOutcome &O : Outcomes)
-    Divergent += O.Agreed ? 0 : 1;
+      Divergent += 1;
+    }
+  }
 
   bool SelfTestOk = true;
   if (Quick || InjectMutation)

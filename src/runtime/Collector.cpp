@@ -498,7 +498,8 @@ void Heap::finishMarkSweepCycle(AllocClock Boundary, AllocClock BlackClock,
       }
       Work.ReclaimedBytes += O->grossBytes();
       LastStats.ObjectsReclaimed += 1;
-      reclaimObject(O);
+      RemSet.removeSource(O);
+      releaseStorage(O);
     }
     Objects.resize(Out);
     Phase.addCost(Work.ReclaimedBytes);
@@ -535,6 +536,7 @@ void Heap::beginIncrementalScavenge(AllocClock Boundary) {
   bool RebuildRemSet = false;
   Boundary = openCollection(Boundary, RebuildRemSet);
   Inc = IncrementalState();
+  IncClosedByLadder = false;
   Inc.Active = true;
   Inc.Boundary = Boundary;
   Inc.BlackClock = Clock;
@@ -550,8 +552,8 @@ bool Heap::incrementalScavengeStep() {
   // Every quantum is its own stop-the-world window: contexts publish and
   // flush at its rendezvous, then run free again between quanta.
   WorldPause Pause(*this);
-  if (!Inc.Active)
-    fatalError("no incremental scavenge is active");
+  if (noOpenCycle())
+    return true;
   if (InCollection)
     fatalError("re-entrant collection");
   if (faultRequestedAt(FaultSite::IncrementalStep)) {
@@ -606,8 +608,8 @@ bool Heap::incrementalScavengeStep() {
 
 core::ScavengeRecord Heap::finishIncrementalScavenge() {
   WorldPause Pause(*this);
-  if (!Inc.Active)
-    fatalError("no incremental scavenge is active");
+  if (noOpenCycle())
+    return core::ScavengeRecord();
   size_t RecordsBefore = History.size();
   while (!incrementalScavengeStep()) {
   }
@@ -620,11 +622,22 @@ core::ScavengeRecord Heap::finishIncrementalScavenge() {
 
 void Heap::abortIncrementalScavenge() {
   WorldPause Pause(*this);
-  if (!Inc.Active)
-    fatalError("no incremental scavenge is active");
+  if (noOpenCycle())
+    return;
   if (InCollection)
     fatalError("re-entrant collection");
   abortIncrementalCycle("explicit abort");
+}
+
+bool Heap::noOpenCycle() {
+  // The ladder runs world-stopped for another context's allocation, so it
+  // can close the cycle between two of the embedder's calls.
+  if (Inc.Active)
+    return false;
+  if (!IncClosedByLadder)
+    fatalError("no incremental scavenge is active");
+  IncClosedByLadder = false;
+  return true;
 }
 
 void Heap::abortIncrementalCycle(const char *Why) {

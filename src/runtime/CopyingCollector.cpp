@@ -3,16 +3,16 @@
 // Part of the dtbgc project (Barrett & Zorn DTB reproduction).
 //
 // The copying strategy: surviving threatened objects are evacuated to
-// fresh storage (Cheney-style, with an explicit forwarding table) and
-// every original in the threatened region is released at once — the
+// fresh storage (Cheney-style, forwarding through the original's header)
+// and every original in the threatened region is released at once — the
 // paper's "reclaiming all the storage at once in the case of a copying
 // collector". Copies are bumped into per-lane 32 KB blocks, and the
-// release counts each original out of its block, so a block is freed
-// whole once nothing in it is live. Immune objects never move; pinned
-// threatened objects are traced in place. References into the threatened
-// region are updated in the global roots, handle slots, evacuated copies,
-// and — for immune objects — exactly the remembered-set entries, which by
-// construction cover every immune→threatened pointer.
+// release counts each original out of the block its header names, so a
+// block is freed whole once nothing in it is live. Immune objects never
+// move; pinned threatened objects are traced in place. References into
+// the threatened region are updated in the global roots, handle slots,
+// evacuated copies, and — for immune objects — exactly the remembered-set
+// entries, which by construction cover every immune→threatened pointer.
 //
 // Births travel with the copies, so the birth-ordered allocation list is
 // rebuilt by substituting forwarded addresses in place: the collector
@@ -21,12 +21,11 @@
 //
 // Evacuation runs on the shared trace-lane engine (TraceLanes.h): lanes
 // race an atomic fetch_or on the header's claim bit, so exactly one lane
-// copies each object; the winner publishes the copy through a release
-// store into a side table of forwarding slots, and losers acquire-spin on
-// that slot. The 24-byte header has no room for a forwarding pointer, so
-// the slots are indexed by the original's position in the threatened
-// suffix, found through an address-keyed hash index. Which lane wins is
-// scheduling-dependent; what is copied, accounted, and published is not.
+// copies each object. The winner writes the copy's address over the
+// original's shape word and publishes it by setting the forwarded bit
+// with release ordering; losers acquire-spin on that bit. Which lane wins
+// is scheduling-dependent; what is copied, accounted, and published is
+// not.
 //
 //===----------------------------------------------------------------------===//
 
@@ -36,9 +35,6 @@
 #include "runtime/TraceLanes.h"
 #include "support/Error.h"
 
-#include <algorithm>
-#include <atomic>
-#include <bit>
 #include <cassert>
 #include <cstring>
 #include <new>
@@ -51,37 +47,6 @@ using core::AllocClock;
 
 Heap::ScavengeWork Heap::runCopying(AllocClock Boundary) {
   ScavengeWork Work;
-
-  const size_t Begin = firstBornAfter(Boundary);
-  const size_t Threatened = Objects.size() - Begin;
-  // Forwarding side table, one slot per threatened original, indexed by
-  // its position in the object list's threatened suffix (frozen until the
-  // sweep, which indexes it directly). Other lookups map the original's
-  // address to that position through an open-addressing index, built here
-  // from the pointers alone before any lane runs and only read after. Its
-  // capacity of at least twice the threatened count keeps linear probes
-  // short and leaves an empty entry, which ends the probe of a miss.
-  std::vector<std::atomic<Object *>> Forward(Threatened);
-  struct IndexEntry { const Object *Original; size_t Position; };
-  const size_t Capacity = std::bit_ceil(std::max<size_t>(2, 2 * Threatened));
-  const int Shift = 64 - std::countr_zero(Capacity);
-  auto homeOf = [&](const Object *O) -> size_t {
-    return (reinterpret_cast<uintptr_t>(O) * 0x9E3779B97F4A7C15ull) >> Shift;
-  };
-  std::vector<IndexEntry> Index(Capacity);
-  for (size_t I = 0; I != Threatened; ++I) {
-    size_t H = homeOf(Objects[Begin + I]);
-    while (Index[H].Original)
-      H = (H + 1) & (Capacity - 1);
-    Index[H] = {Objects[Begin + I], I};
-  }
-  auto forwardSlot = [&](const Object *O) -> std::atomic<Object *> & {
-    for (size_t H = homeOf(O);; H = (H + 1) & (Capacity - 1)) {
-      if (Index[H].Original == O)
-        return Forward[Index[H].Position];
-      DTB_CHECK(Index[H].Original, "original not in object list");
-    }
-  };
 
   auto isThreatened = [&](const Object *O) {
     return O && O->birth() > Boundary;
@@ -102,24 +67,24 @@ Heap::ScavengeWork Heap::runCopying(AllocClock Boundary) {
   auto relocate = [&](Object *O, TraceLane &Lane) -> Object * {
     assert(isThreatened(O) && "relocating an immune object");
     assert(O->isAlive() && "relocating a reclaimed object");
-    std::atomic<Object *> &Slot = forwardSlot(O);
     if (!O->tryAcquireFlag(Object::FlagClaimed)) {
       // Another lane owns the evacuation; its publish is imminent.
-      Object *Published = Slot.load(std::memory_order_acquire);
+      Object *Published = O->relocation();
       while (!Published) {
         std::this_thread::yield();
-        Published = Slot.load(std::memory_order_acquire);
+        Published = O->relocation();
       }
       return Published;
     }
+    const uint32_t Gross = O->grossBytes();
+    Lane.TracedBytes += Gross;
+    Lane.ObjectsTraced += 1;
     if (isPinned(O)) {
       // Pinned objects are traced in place and keep their address; the
-      // mark bit records the in-place survival for the sweep.
-      O->setFlagAtomic(Object::FlagMarked);
-      Lane.TracedBytes += O->grossBytes();
-      Lane.ObjectsTraced += 1;
+      // mark bit records the in-place survival for the sweep and, set
+      // last, publishes it to losing lanes.
       Lane.addChild(O);
-      Slot.store(O, std::memory_order_release);
+      O->setFlagAtomic(Object::FlagMarked);
       return O;
     }
     // Clone: identical header (birth included) and payload, bumped into
@@ -128,26 +93,25 @@ Heap::ScavengeWork Heap::runCopying(AllocClock Boundary) {
     // — losing lanes may still be doing atomic claim RMWs on the
     // original's flag byte, and a plain whole-header read would race with
     // them.
-    uint64_t Need = blockFootprint(O->grossBytes());
+    uint64_t Need = blockFootprint(Gross);
     bool InBlock = fitsBlock(Need);
-    void *Memory = InBlock ? bumpBlock(laneBlock(Lane), Need)
-                           : ::operator new(O->grossBytes());
+    TlabBlock *&Block = laneBlock(Lane);
+    void *Memory = InBlock ? bumpBlock(Block, Need) : ::operator new(Gross);
     Object *Copy = reinterpret_cast<Object *>(Memory);
     Copy->Magic = Object::MagicAlive;
     Copy->Flags = 0;
     Copy->Storage = InBlock ? Object::StorageTlab : Object::StorageOwn;
-    Copy->NumSlots = O->NumSlots;
-    Copy->RawBytes = O->RawBytes;
-    Copy->GrossBytes = O->GrossBytes;
+    Copy->Block = InBlock ? Block->Slot : 0;
+    Copy->Shape = O->Shape;
     Copy->Birth = O->Birth;
     std::memcpy(static_cast<void *>(Copy + 1),
-                static_cast<const void *>(O + 1),
-                O->grossBytes() - sizeof(Object));
-    Lane.TracedBytes += O->grossBytes();
-    Lane.ObjectsTraced += 1;
+                static_cast<const void *>(O + 1), Gross - sizeof(Object));
     Lane.ObjectsMoved += 1;
     Lane.addChild(Copy);
-    Slot.store(Copy, std::memory_order_release);
+    // Publish: the copy's address overwrites the shape word just copied;
+    // the forwarded bit, set with release ordering, makes it visible.
+    O->Shape = reinterpret_cast<uintptr_t>(Copy);
+    O->setFlagAtomic(Object::FlagForwarded);
     return Copy;
   };
 
@@ -219,33 +183,22 @@ Heap::ScavengeWork Heap::runCopying(AllocClock Boundary) {
 
   // --- Weak-reference processing ----------------------------------------
   // Weak references follow moved targets and are cleared when the target
-  // did not survive; references to immune objects — and pinned survivors,
-  // whose forwarding slot publishes their unchanged address — are
-  // untouched.
+  // did not survive; references to immune objects are untouched, and a
+  // pinned survivor relocates to itself.
   {
     profiling::ProfilePhase Phase(&Profiler, profiling::phase::WeakRefs);
     Phase.addCost(WeakRefs.size());
-    for (WeakRef *Weak : WeakRefs) {
-      Object *Target = Weak->get();
-      if (!isThreatened(Target))
-        continue;
-      Object *Survivor = forwardSlot(Target).load(std::memory_order_relaxed);
-      if (!Survivor)
-        Weak->set(nullptr);
-      else if (Survivor != Target)
-        Weak->set(Survivor);
-    }
+    for (WeakRef *Weak : WeakRefs)
+      if (isThreatened(Weak->get()))
+        Weak->set(Weak->get()->relocation());
   }
 
   // --- Remembered-set rekeying ------------------------------------------
   // Entries whose source moved follow the copy (slot indices are layout-
   // preserved); entries whose threatened source did not survive are
-  // dropped. A forwarding slot publishing the original itself is a pinned
-  // survivor, traced in place.
-  RemSet.remapSources([&](Object *Source) -> Object * {
-    if (!isThreatened(Source))
-      return Source; // Immune sources stay put.
-    return forwardSlot(Source).load(std::memory_order_relaxed);
+  // dropped. A pinned survivor, traced in place, relocates to itself.
+  RemSet.remapSources([&](Object *Source) {
+    return isThreatened(Source) ? Source->relocation() : Source;
   });
 
   // --- Region release and list rebuild ----------------------------------
@@ -256,31 +209,33 @@ Heap::ScavengeWork Heap::runCopying(AllocClock Boundary) {
   // survivor rather than its (released) original.
   {
     profiling::ProfilePhase Phase(&Profiler, profiling::phase::Sweep);
-    size_t Out = Begin;
+    size_t Out = firstBornAfter(Boundary);
+    uint64_t Survivors = 0;
     Demographics.beginScavenge(Boundary);
-    for (size_t I = Begin, E = Objects.size(); I != E; ++I) {
+    for (size_t I = Out, E = Objects.size(); I != E; ++I) {
       Object *O = Objects[I];
-      Object *Survivor = Forward[I - Begin].load(std::memory_order_relaxed);
-      if (Survivor)
+      if (Object *Survivor = O->relocation()) {
+        Survivors += 1;
         Demographics.recordSurvivor(Survivor->birth(), Survivor->grossBytes());
-      if (Survivor == O) { // Pinned survivor, traced in place.
-        O->clearTraceFlags();
-        Objects[Out++] = O;
-        continue;
-      }
-      if (Survivor) {
         Objects[Out++] = Survivor;
-        // The original's storage is released; a stale raw pointer held by
-        // the mutator across this collection is a bug the quarantine
-        // canary will catch.
-        releaseStorage(O);
-        continue;
+        O->clearTraceFlags();
+        if (Survivor == O) // Pinned survivor, traced in place.
+          continue;
+        // The original is released with its own shape back (quarantine
+        // poisons by it); a stale raw pointer held by the mutator across
+        // this collection is a bug the quarantine canary will catch.
+        O->Shape = Survivor->Shape;
+      } else {
+        Work.ReclaimedBytes += O->grossBytes();
+        LastStats.ObjectsReclaimed += 1;
       }
-      Work.ReclaimedBytes += O->grossBytes();
-      LastStats.ObjectsReclaimed += 1;
       releaseStorage(O);
     }
     Objects.resize(Out);
+    // The lanes moved or traced in place exactly the survivors found here;
+    // any other lies outside the threatened suffix (heap corruption).
+    DTB_CHECK(Survivors == LastStats.ObjectsTraced,
+              "a relocated object is not in the threatened suffix");
     Phase.addCost(Work.ReclaimedBytes);
   }
 

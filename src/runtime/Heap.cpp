@@ -40,7 +40,7 @@ Heap::~Heap() {
   for (Object *O : Quarantine)
     if (O->storageKind() == Object::StorageOwn)
       ::operator delete(static_cast<void *>(O));
-  for (auto &Block : TlabBlocks)
+  for (auto &Block : BlockSlots)
     ::operator delete(Block->Begin);
 }
 
@@ -125,6 +125,7 @@ bool Heap::runPressureLadder(uint64_t Gross, const char *Why) {
         break;
     }
     bool Completed = History.size() != RecordsBefore;
+    IncClosedByLadder = !Inc.Active;
     recordDegradation({DegradationKind::CycleAccelerated, Clock, Gross,
                        Config.HeapLimitBytes, ResidentBytes,
                        std::string(Why) + "; ran " + std::to_string(Extra) +
@@ -143,6 +144,7 @@ bool Heap::runPressureLadder(uint64_t Gross, const char *Why) {
       uint64_t Budget = Config.ScavengeBudgetBytes;
       if (Budget == 0 || GrayBytes <= 4 * Budget) {
         finishIncrementalScavenge();
+        IncClosedByLadder = true;
         recordDegradation({DegradationKind::CycleCompletedEarly, Clock, Gross,
                            Config.HeapLimitBytes, ResidentBytes, Why});
         if (!overLimit(Gross))
@@ -156,6 +158,7 @@ bool Heap::runPressureLadder(uint64_t Gross, const char *Why) {
     // always safe: the heap is restored as if the cycle never started.
     if (Inc.Active)
       abortIncrementalCycle("mid-cycle allocation pressure");
+    IncClosedByLadder = true;
   }
 
   // Rung 1: an out-of-schedule scavenge at the policy's boundary — the
@@ -411,14 +414,6 @@ core::ScavengeRecord Heap::collect() {
   return Record;
 }
 
-void Heap::reclaimObject(Object *O) {
-  RemSet.removeSource(O);
-  // releaseStorage poisons the payload in quarantine mode so any
-  // use-after-free is glaring, while keeping the storage so stale
-  // pointers can be detected via the canary.
-  releaseStorage(O);
-}
-
 //===----------------------------------------------------------------------===//
 // Bump blocks and object storage
 //===----------------------------------------------------------------------===//
@@ -432,9 +427,8 @@ Object *Heap::newObject(TlabBlock **Block, MutatorContext *Owner,
   std::memset(Memory, 0, static_cast<size_t>(InBlock ? Need : Gross));
   Object *O = new (Memory) Object();
   O->Storage = InBlock ? Object::StorageTlab : Object::StorageOwn;
-  O->NumSlots = NumSlots;
-  O->RawBytes = RawBytes;
-  O->GrossBytes = static_cast<uint32_t>(Gross);
+  O->Block = InBlock ? (*Block)->Slot : 0;
+  O->Shape = NumSlots | static_cast<uint64_t>(RawBytes) << 32;
   return O;
 }
 
@@ -448,20 +442,17 @@ void Heap::refillBlock(TlabBlock *&Block, MutatorContext *Owner) {
 }
 
 Heap::TlabBlock *Heap::carveTlab(bool HeapOwned) {
-  auto Block = std::make_unique<TlabBlock>();
-  Block->Begin = static_cast<char *>(::operator new(BlockBytes));
-  Block->End = Block->Begin + BlockBytes;
-  Block->Cursor = Block->Begin;
-  Block->HeapOwned = HeapOwned;
-  TlabBlock *Raw = Block.get();
-  // Keep the table sorted by Begin so tlabBlockFor can binary-search.
-  auto It = std::lower_bound(
-      TlabBlocks.begin(), TlabBlocks.end(), Block->Begin,
-      [](const std::unique_ptr<TlabBlock> &B, const char *Begin) {
-        return B->Begin < Begin;
-      });
-  TlabBlocks.insert(It, std::move(Block));
-  return Raw;
+  if (FreeBlockSlots.empty()) {
+    FreeBlockSlots.push_back(static_cast<uint32_t>(BlockSlots.size()));
+    BlockSlots.push_back(std::make_unique<TlabBlock>());
+  }
+  const uint32_t Slot = FreeBlockSlots.back();
+  FreeBlockSlots.pop_back();
+  char *Begin = static_cast<char *>(::operator new(BlockBytes));
+  TlabBlock &Block = *BlockSlots[Slot];
+  Block = {.Begin = Begin, .End = Begin + BlockBytes, .Cursor = Begin,
+           .Slot = Slot, .HeapOwned = HeapOwned};
+  return &Block;
 }
 
 void Heap::retireTlab(TlabBlock *Block) {
@@ -476,31 +467,15 @@ void Heap::retireTlab(TlabBlock *Block) {
     freeTlabBlock(Block);
 }
 
-Heap::TlabBlock *Heap::tlabBlockFor(const Object *O) {
-  const char *P = reinterpret_cast<const char *>(O);
-  auto It = std::upper_bound(
-      TlabBlocks.begin(), TlabBlocks.end(), P,
-      [](const char *Ptr, const std::unique_ptr<TlabBlock> &B) {
-        return Ptr < B->Begin;
-      });
-  if (It == TlabBlocks.begin())
-    return nullptr;
-  TlabBlock *Block = std::prev(It)->get();
-  return P < Block->End ? Block : nullptr;
-}
-
 void Heap::freeTlabBlock(TlabBlock *Block) {
-  auto It = std::lower_bound(
-      TlabBlocks.begin(), TlabBlocks.end(), Block->Begin,
-      [](const std::unique_ptr<TlabBlock> &B, const char *Begin) {
-        return B->Begin < Begin;
-      });
-  DTB_CHECK(It != TlabBlocks.end() && It->get() == Block,
+  DTB_CHECK(Block->Begin && Block->Slot < BlockSlots.size() &&
+                BlockSlots[Block->Slot].get() == Block,
             "freeing a bump block not in the block table");
   if (!Block->HeapOwned)
     MutStats.TlabBlocksFreed += 1;
   ::operator delete(Block->Begin);
-  TlabBlocks.erase(It);
+  Block->Begin = Block->End = Block->Cursor = nullptr;
+  FreeBlockSlots.push_back(Block->Slot);
 }
 
 void Heap::releaseStorage(Object *O) {
@@ -516,11 +491,15 @@ void Heap::releaseStorage(Object *O) {
     return;
   }
   if (O->storageKind() == Object::StorageTlab) {
-    // The object shares its block's storage: the block is freed only when
-    // its last object dies after it was retired. Sweeps run world-stopped,
-    // so the block table is stable here.
-    TlabBlock *Block = tlabBlockFor(O);
-    DTB_CHECK(Block, "block-interior object outside every block");
+    // The object shares the storage of the block its header names: the
+    // block is freed only when its last object dies after it was retired.
+    // Sweeps run world-stopped, so the block table is stable here.
+    DTB_CHECK(O->blockSlot() < BlockSlots.size(),
+              "block-interior object names no block");
+    TlabBlock *Block = BlockSlots[O->blockSlot()].get();
+    const char *P = reinterpret_cast<const char *>(O);
+    DTB_CHECK(P >= Block->Begin && P < Block->End,
+              "block-interior object outside the block its header names");
     DTB_CHECK(Block->LiveObjects != 0, "bump block live-count underflow");
     Block->LiveObjects -= 1;
     if (Block->Retired && Block->LiveObjects == 0)
@@ -532,25 +511,35 @@ void Heap::releaseStorage(Object *O) {
 
 MutatorRuntimeStats Heap::mutatorStats() const {
   MutatorRuntimeStats Out = MutStats;
-  Out.TlabBlocksResident = TlabBlocks.size() - heapBlocksResident();
+  Out.TlabBlocksResident =
+      BlockSlots.size() - FreeBlockSlots.size() - heapBlocksResident();
   return Out;
 }
 
 uint64_t Heap::heapBlocksResident() const {
   return static_cast<uint64_t>(
-      std::count_if(TlabBlocks.begin(), TlabBlocks.end(),
+      std::count_if(BlockSlots.begin(), BlockSlots.end(),
                     [](const std::unique_ptr<TlabBlock> &Block) {
-                      return Block->HeapOwned;
+                      return Block->Begin && Block->HeapOwned;
                     }));
 }
 
 std::vector<std::pair<const void *, const void *>>
 Heap::tlabBlockRanges() const {
   std::vector<std::pair<const void *, const void *>> Ranges;
-  Ranges.reserve(TlabBlocks.size());
-  for (const auto &Block : TlabBlocks)
-    Ranges.emplace_back(Block->Begin, Block->End);
+  for (const auto &Block : BlockSlots)
+    if (Block->Begin)
+      Ranges.emplace_back(Block->Begin, Block->End);
+  std::sort(Ranges.begin(), Ranges.end());
   return Ranges;
+}
+
+std::vector<Heap::BlockInfo> Heap::blockTable() const {
+  std::vector<BlockInfo> Table;
+  Table.reserve(BlockSlots.size());
+  for (const auto &Block : BlockSlots)
+    Table.push_back({Block->Begin, Block->End, Block->LiveObjects});
+  return Table;
 }
 
 void Heap::registerWeakRef(WeakRef *Ref) { WeakRefs.push_back(Ref); }

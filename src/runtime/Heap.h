@@ -297,7 +297,10 @@ public:
   /// threatened suffix swept, and the scavenge recorded in history() — or
   /// an injected IncrementalStep fault aborted it (no record appended;
   /// distinguish via history().size() or incrementalScavengeActive()).
-  /// Returns false while gray work remains.
+  /// Returns false while gray work remains. If allocation pressure closed
+  /// the cycle since the last call (the degradation ladder's mid-cycle
+  /// rungs), the next step, finish or abort reports it over: true, a zero
+  /// record, nothing. Any other call without an open cycle is misuse.
   bool incrementalScavengeStep();
 
   /// Drains the active incremental scavenge to completion and returns its
@@ -381,8 +384,13 @@ public:
   /// [begin, end) storage ranges of every resident bump block — context
   /// TLABs and the blocks a copying heap carved for itself — sorted by
   /// address (tests assert the ranges are disjoint — no byte double-
-  /// carved). Call at a safepoint.
+  /// carved). Sorts a copy of the block table; call at a safepoint.
   std::vector<std::pair<const void *, const void *>> tlabBlockRanges() const;
+  /// The block table by slot (a block-interior object lives in entry
+  /// Object::blockSlot()): storage and live-object count, Begin null for
+  /// a freed slot. For the verifier; call at a safepoint.
+  struct BlockInfo { const void *Begin, *End; uint32_t LiveObjects; };
+  std::vector<BlockInfo> blockTable() const;
 
   /// Resident bump blocks the heap carved for itself: a copying heap's
   /// direct-allocation and evacuation blocks, BlockBytes each. Context
@@ -493,6 +501,7 @@ private:
     char *End = nullptr;
     char *Cursor = nullptr;
     uint32_t LiveObjects = 0;
+    uint32_t Slot = 0; // In the block table; what its objects' headers name.
     bool Retired = false;
     /// Carved for the heap itself rather than for a context; such blocks
     /// stay out of mutatorStats().
@@ -570,10 +579,7 @@ private:
   /// as waste) and frees it right away when nothing in it is live. Caller
   /// holds the refill lock or the stopped world.
   void retireTlab(TlabBlock *Block);
-  /// The block containing \p O (binary search over the sorted block
-  /// table). World-stopped callers only.
-  TlabBlock *tlabBlockFor(const Object *O);
-  /// Returns \p Block's storage to the OS and drops it from the block
+  /// Returns \p Block's storage to the OS and frees its slot in the block
   /// table. Caller holds the refill lock or the stopped world.
   void freeTlabBlock(TlabBlock *Block);
   /// Barrier-sink failure (injected BarrierSink fault): the buffered
@@ -651,6 +657,9 @@ private:
   /// IncrementalStep fault, and the mid-cycle pressure ladder; \p Why
   /// leads the CycleAborted event's detail.
   void abortIncrementalCycle(const char *Why);
+  /// Step, finish and abort's check: false while a cycle is open, true
+  /// (once) when the pressure ladder closed it, else a usage error.
+  bool noOpenCycle();
   /// Merges lane buffers (fixed lane order) into the gray queue and the
   /// collection stats.
   void drainTraceLanes(TraceLaneSet &Lanes, std::vector<Object *> &Gray,
@@ -686,7 +695,6 @@ private:
   /// the trigger and the runtime.alloc.* counters.
   void chargeAllocation(Object *O, uint64_t Gross);
   [[noreturn]] static void fatalOutOfMemory();
-  void reclaimObject(Object *O);
   /// Frees (or quarantines+poisons) an object's storage: dedicated storage
   /// at once, a block-interior object by counting it out of its block.
   void releaseStorage(Object *O);
@@ -755,6 +763,8 @@ private:
   /// across collections so lanes do not respawn threads per scavenge.
   std::unique_ptr<ThreadPool> TracePool;
   IncrementalState Inc;
+  /// The pressure ladder closed the cycle; the embedder is not told yet.
+  bool IncClosedByLadder = false;
   /// Decision explanation from the most recent collect() (see
   /// lastDecision()); valid only when LastDecisionValid.
   core::BoundaryDecision LastDecision;
@@ -779,9 +789,12 @@ private:
   /// Registered contexts, registration order (the deterministic visit
   /// order for root scans, publication, and barrier flushes).
   std::vector<MutatorContext *> Mutators;
-  /// Resident bump blocks, sorted by Begin address; guarded by RefillMu
-  /// for growth, world-stopped for lookup/free.
-  std::vector<std::unique_ptr<TlabBlock>> TlabBlocks;
+  /// The block table: bump blocks by the slot their objects' headers name.
+  /// A freed slot (TlabBlock included) goes to FreeBlockSlots for reuse;
+  /// a resident TlabBlock never moves, since contexts and lanes point at
+  /// it. Grown under RefillMu, read and freed world-stopped.
+  std::vector<std::unique_ptr<TlabBlock>> BlockSlots;
+  std::vector<uint32_t> FreeBlockSlots;
   /// A copying heap's current direct-allocation block (null until the
   /// first direct allocation, and always on a mark-sweep heap).
   TlabBlock *DirectBlock = nullptr;

@@ -83,11 +83,14 @@ VerifyResult dtb::runtime::verifyHeap(const Heap &H) {
   VerifyResult Result;
 
   // Structural checks over the allocation list. Trace-flag hygiene rides
-  // along: mark/claim bits are collection-internal, so outside an open
-  // incremental cycle none may linger (an aborted cycle must scrub every
-  // flag it set), and during one only the cycle's threatened non-black
-  // window may carry the mark.
+  // along: mark/claim/forwarded bits are collection-internal, so outside
+  // an open incremental cycle none may linger (an aborted cycle must scrub
+  // every flag it set), and during one only the cycle's threatened
+  // non-black window may carry the mark. So does block identity: each
+  // block-interior object lies in the block its header names and is
+  // counted out of a copy of that block's live count.
   IncrementalCycleInfo Cycle = H.incrementalCycleInfo();
+  std::vector<Heap::BlockInfo> Blocks = H.blockTable();
   std::unordered_set<const Object *> Resident;
   core::AllocClock PrevBirth = 0;
   uint64_t ByteTotal = 0;
@@ -103,13 +106,24 @@ VerifyResult dtb::runtime::verifyHeap(const Heap &H) {
       if (!Cycle.Active)
         Result.fail(describeObject(O) +
                     " carries a stale trace flag outside a collection");
-      else if ((O->traceFlags() & Object::FlagClaimed) != 0)
-        Result.fail(describeObject(O) +
-                    " carries the claim flag during a mark-sweep cycle");
+      else if ((O->traceFlags() & ~Object::FlagMarked) != 0)
+        Result.fail(describeObject(O) + " carries the claim or forwarded "
+                                        "flag during a mark-sweep cycle");
       else if (O->birth() <= Cycle.Boundary || O->birth() > Cycle.BlackClock)
         Result.fail(describeObject(O) +
                     " is marked but lies outside the open cycle's "
                     "threatened window");
+    }
+    if (O->storageKind() == Object::StorageTlab) {
+      const char *P = reinterpret_cast<const char *>(O);
+      Heap::BlockInfo *Block =
+          O->blockSlot() < Blocks.size() ? &Blocks[O->blockSlot()] : nullptr;
+      if (!Block || !Block->Begin || P < Block->Begin ||
+          P + O->grossBytes() > Block->End)
+        Result.fail(describeObject(O) +
+                    " lies outside the resident block its header names");
+      else
+        Block->LiveObjects -= 1;
     }
     PrevBirth = O->birth();
     ByteTotal += O->grossBytes();
@@ -119,6 +133,17 @@ VerifyResult dtb::runtime::verifyHeap(const Heap &H) {
     Result.fail("resident byte accounting is inconsistent: counted " +
                 std::to_string(ByteTotal) + ", heap says " +
                 std::to_string(H.residentBytes()));
+
+  // A block counts exactly the resident objects that name it, so each
+  // count is now zero; quarantine never counts a released object out.
+  for (size_t Slot = 0; Slot != Blocks.size(); ++Slot) {
+    auto Excess = static_cast<int32_t>(Blocks[Slot].LiveObjects);
+    if (Blocks[Slot].Begin && Excess != 0 &&
+        !H.config().QuarantineFreedObjects)
+      Result.fail("block slot " + std::to_string(Slot) + " counts " +
+                  std::to_string(Excess) +
+                  " more live objects than resident objects name it");
+  }
 
   // Safety: every reachable object must be resident (and alive).
   std::unordered_set<const Object *> Reachable =

@@ -218,12 +218,14 @@ template <typename Fn> void Heap::forEachRoot(Fn &&Visit) {
 
 // Entries are re-validated against the live slot contents: ones that no
 // longer hold a forward-in-time pointer (overwritten or cleared) are
-// pruned. Both counts land in LastStats.
+// pruned. Both counts land in LastStats. The slot is read raw: a copying
+// collection may already have forwarded a threatened source, whose shape
+// word then holds an address (its payload is intact).
 template <typename Fn>
 void Heap::forEachCrossing(core::AllocClock B, Fn &&Visit) {
   RemSet.forEachAndPrune([&](Object *Source, uint32_t SlotIndex) {
     assert(Source->isAlive() && "remembered set names a dead source");
-    Object *Target = Source->slot(SlotIndex);
+    Object *Target = Source->slots()[SlotIndex];
     if (!Target || Target->birth() <= Source->birth()) {
       LastStats.RememberedSetPruned += 1;
       return false; // Stale: no longer a forward-in-time pointer.

@@ -44,35 +44,45 @@ public:
     /// fetch_or on this bit to decide which lane copies the object. Never
     /// set outside a collection; cleared (with FlagMarked) at sweep.
     FlagClaimed = 1u << 1,
+    /// The claiming lane wrote the copy's address over the shape word;
+    /// Magic, Storage, Block and Birth stay readable. Cleared at release.
+    FlagForwarded = 1u << 2,
+    TraceFlags = FlagMarked | FlagClaimed | FlagForwarded,
   };
 
   /// Where the object's storage came from — decides how releaseStorage
-  /// returns it. (Fits the header's former padding byte.)
+  /// returns it.
   enum : uint8_t {
     /// A dedicated ::operator new block; released individually.
     StorageOwn = 0,
-    /// Interior to a bump block: a MutatorContext's thread-local
-    /// allocation buffer (TLAB), or on a copying heap the heap's
-    /// direct-allocation block or a trace lane's evacuation block. The
-    /// block is released when its last object dies after the block was
-    /// retired (Heap::releaseStorage), never per-object.
+    /// Interior to a bump block (blockSlot()): a MutatorContext's TLAB,
+    /// or on a copying heap the heap's direct-allocation block or a trace
+    /// lane's evacuation block. The block is released when its last
+    /// object dies after the block was retired, never per-object.
     StorageTlab = 1,
   };
 
+  /// Payload bounds (see grossBytesFor).
+  static constexpr uint32_t MaxSlots = 1u << 24;
+  static constexpr uint32_t MaxRaw = 1u << 28;
+
   /// The storage kind (StorageOwn / StorageTlab).
   uint8_t storageKind() const { return Storage; }
+  /// A StorageTlab object's block: its slot in the heap's block table.
+  uint32_t blockSlot() const { return Block; }
 
-  uint32_t numSlots() const { return NumSlots; }
-  uint32_t rawBytes() const { return RawBytes; }
-  /// Total footprint (header + slots + raw data) — the "size" the
-  /// collector accounts in bytes traced and reclaimed.
-  uint32_t grossBytes() const { return GrossBytes; }
-  /// The footprint of a new object. Payloads are bounded so it fits the
-  /// header; a request past the bounds is a usage error, not memory
+  uint32_t numSlots() const { return static_cast<uint32_t>(Shape); }
+  uint32_t rawBytes() const { return static_cast<uint32_t>(Shape >> 32); }
+  /// Total footprint (header + slots + raw data), computed from the shape
+  /// — the "size" the collector accounts in bytes traced and reclaimed.
+  uint32_t grossBytes() const {
+    return static_cast<uint32_t>(sizeof(Object)) +
+           numSlots() * static_cast<uint32_t>(sizeof(Object *)) + rawBytes();
+  }
+  /// The footprint of a new object. Payloads are bounded so it fits 32
+  /// bits; a request past the bounds is a usage error, not memory
   /// pressure, so it is fatal even on the recoverable allocation paths.
   static uint64_t grossBytesFor(uint32_t NumSlots, uint32_t RawBytes) {
-    constexpr uint32_t MaxSlots = 1u << 24;
-    constexpr uint32_t MaxRaw = 1u << 28;
     if (NumSlots > MaxSlots || RawBytes > MaxRaw)
       fatalError("allocation exceeds object size limits");
     return sizeof(Object) +
@@ -83,25 +93,23 @@ public:
 
   bool isAlive() const { return Magic == MagicAlive; }
   bool isMarked() const { return (Flags & FlagMarked) != 0; }
-  /// Raw mark + claim bits, for the verifier's flag-hygiene check (no
-  /// resident object may carry either outside a collection).
-  uint8_t traceFlags() const {
-    return Flags & static_cast<uint8_t>(FlagMarked | FlagClaimed);
-  }
+  /// Raw trace bits, for the verifier's flag-hygiene check (no resident
+  /// object may carry any of them outside a collection).
+  uint8_t traceFlags() const { return Flags & TraceFlags; }
 
   /// Reads pointer slot \p Index (no barrier needed for reads).
   Object *slot(uint32_t Index) const {
     assert(isAlive() && "reading slot of a dead object");
-    assert(Index < NumSlots && "slot index out of range");
+    assert(Index < numSlots() && "slot index out of range");
     return slots()[Index];
   }
 
   /// The raw-data area (RawBytes bytes, after the slots).
   void *rawData() {
-    return reinterpret_cast<char *>(slots() + NumSlots);
+    return reinterpret_cast<char *>(slots() + numSlots());
   }
   const void *rawData() const {
-    return reinterpret_cast<const char *>(slots() + NumSlots);
+    return reinterpret_cast<const char *>(slots() + numSlots());
   }
 
 private:
@@ -116,7 +124,7 @@ private:
   }
 
   void setSlotRaw(uint32_t Index, Object *Value) {
-    assert(Index < NumSlots && "slot index out of range");
+    assert(Index < numSlots() && "slot index out of range");
     slots()[Index] = Value;
   }
 
@@ -140,18 +148,28 @@ private:
     F.fetch_or(Flag, std::memory_order_acq_rel);
   }
 
-  /// Clears both trace-time flags (mark + claim). Sweep-only; runs after
-  /// all lanes have joined, so a plain store is safe.
-  void clearTraceFlags() {
-    Flags &= static_cast<uint8_t>(~(FlagMarked | FlagClaimed));
+  /// Where a claimed threatened object lives after a copying collection:
+  /// its copy when forwarded, itself when a pinned winner marked it in
+  /// place, else null (not yet published; after the trace, dead). The
+  /// acquire load lets a lane that lost the claim wait on it.
+  Object *relocation() {
+    uint8_t F = std::atomic_ref<uint8_t>(Flags).load(std::memory_order_acquire);
+    if (F & FlagForwarded)
+      return reinterpret_cast<Object *>(Shape);
+    return (F & FlagMarked) ? this : nullptr;
   }
+
+  /// Clears every trace-time flag. Sweep-only; runs after all lanes have
+  /// joined, so a plain store is safe.
+  void clearTraceFlags() { Flags &= static_cast<uint8_t>(~TraceFlags); }
 
   uint16_t Magic = MagicAlive;
   uint8_t Flags = 0;
   uint8_t Storage = StorageOwn;
-  uint32_t NumSlots = 0;
-  uint32_t RawBytes = 0;
-  uint32_t GrossBytes = 0;
+  uint32_t Block = 0;
+  /// NumSlots in the low half and RawBytes in the high half, or, while
+  /// FlagForwarded is set, the copy's address (8-byte aligned).
+  uint64_t Shape = 0;
   core::AllocClock Birth = 0;
 };
 

@@ -12,9 +12,11 @@
 
 #include "runtime/Heap.h"
 #include "runtime/HeapVerifier.h"
+#include "runtime/Mutator.h"
 
 #include "core/MachineModel.h"
 #include "core/Policies.h"
+#include "support/FaultInjector.h"
 
 #include <gtest/gtest.h>
 
@@ -174,6 +176,59 @@ TEST(AbortTest, AbortRecordsCycleAbortedDegradation) {
 TEST(AbortTest, AbortWithoutActiveCycleDies) {
   Heap H(manualConfig());
   EXPECT_DEATH(H.abortIncrementalScavenge(), "no incremental scavenge");
+}
+
+TEST(AbortTest, CycleClosedByAnotherContextsPressureIsReportedOnce) {
+  // One thread steps a cycle and also drives a context. An injected
+  // allocation fault on the context walks the mid-cycle ladder, whose
+  // accelerate rung completes the cycle between two of the thread's
+  // steps. The next step reports the cycle over instead of killing the
+  // process; a step after that has no cycle to report and is misuse.
+  Heap H(manualConfig());
+  MutatorContext Ctx(H);
+  size_t Root = Ctx.allocateRooted(1, 0);
+  Ctx.writeSlot(Ctx.root(Root), 0, Ctx.allocate(0, 32));
+  for (int I = 0; I != 50; ++I)
+    Ctx.allocate(0, 64); // Garbage.
+
+  H.beginIncrementalScavenge(0);
+  ASSERT_FALSE(H.incrementalScavengeStep());
+  {
+    FaultInjector Injector(1);
+    Injector.armOneShot(FaultSite::Allocation, 1);
+    FaultInjectionScope Faults(Injector);
+    ASSERT_NE(Ctx.allocate(0, 8), nullptr);
+  }
+  EXPECT_FALSE(H.incrementalScavengeActive());
+  EXPECT_EQ(eventsOf(H, DegradationKind::CycleAccelerated), 1u);
+  EXPECT_EQ(H.history().size(), 1u);
+
+  EXPECT_TRUE(H.incrementalScavengeStep());
+  EXPECT_EQ(H.history().size(), 1u);
+  EXPECT_DEATH(H.incrementalScavengeStep(), "no incremental scavenge");
+  H.runAtSafepoint([](Heap &Stopped) { expectVerifies(Stopped); });
+
+  // Finish and abort report a ladder-closed cycle the same way.
+  H.beginIncrementalScavenge(0);
+  {
+    FaultInjector Injector(2);
+    Injector.armOneShot(FaultSite::Allocation, 1);
+    FaultInjectionScope Faults(Injector);
+    ASSERT_NE(Ctx.allocate(0, 8), nullptr);
+  }
+  ASSERT_FALSE(H.incrementalScavengeActive());
+  EXPECT_EQ(H.finishIncrementalScavenge().Index, 0u);
+  H.beginIncrementalScavenge(0);
+  {
+    FaultInjector Injector(3);
+    Injector.armOneShot(FaultSite::Allocation, 1);
+    FaultInjectionScope Faults(Injector);
+    ASSERT_NE(Ctx.allocate(0, 8), nullptr);
+  }
+  ASSERT_FALSE(H.incrementalScavengeActive());
+  H.abortIncrementalScavenge();
+  EXPECT_DEATH(H.abortIncrementalScavenge(), "no incremental scavenge");
+  EXPECT_EQ(H.history().size(), 3u);
 }
 
 TEST(AbortTest, TriggerRearmsAfterAbort) {

@@ -188,10 +188,10 @@ void runStress(const StressOptions &Options) {
   // One incremental cycle stepped through the concurrent mutation: every
   // quantum stops the world, drains the contexts' grey buffers, and
   // resumes. Workers terminate, so the grey backlog drains eventually.
-  // (The chaos variant skips this: an injected allocation fault walks the
-  // mid-cycle pressure rungs, which may legitimately close the cycle out
-  // from under the stepping thread — that interaction is covered
-  // deterministically by the fault-matrix test.)
+  // In the chaos variant a worker's injected allocation fault may walk the
+  // mid-cycle pressure rungs and close the cycle between two steps; the
+  // next step then reports it over (AbortTest covers this
+  // deterministically).
   size_t ScavengesBefore = 0;
   if (Options.DriveIncrementalCycle) {
     H.runAtSafepoint([&](Heap &Stopped) {
