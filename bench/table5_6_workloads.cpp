@@ -59,8 +59,11 @@ int dtb::bench::runTable56Workloads(ExperimentCli &Cli) {
   std::printf("\nLifetime CDF (fraction of allocated bytes dying before "
               "age):\n\n");
   std::vector<std::string> Header = {"Program"};
-  for (uint64_t Threshold : trace::TraceStats::lifetimeThresholds())
-    Header.push_back("<" + formatBytes(Threshold));
+  for (uint64_t Threshold : trace::TraceStats::lifetimeThresholds()) {
+    std::string Label = "<";
+    Label += formatBytes(Threshold);
+    Header.push_back(std::move(Label));
+  }
   Table Cdf(std::move(Header));
   for (const workload::WorkloadSpec &Spec : Grid.workloads()) {
     const trace::TraceStats &B = Grid.baseline(Spec.Name);

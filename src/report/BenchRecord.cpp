@@ -94,7 +94,10 @@ namespace {
 std::string num(double V) { return telemetry::arg("", V).Value; }
 
 std::string quoted(const std::string &S) {
-  return "\"" + telemetry::escapeJson(S) + "\"";
+  std::string Out = "\"";
+  Out += telemetry::escapeJson(S);
+  Out += '"';
+  return Out;
 }
 
 void appendMetric(const BenchMetric &M, std::string &Out) {

@@ -478,12 +478,16 @@ void Heap::finishMarkSweepCycle(AllocClock Boundary, AllocClock BlackClock,
   // Compact the threatened suffix of the birth-ordered allocation list in
   // place; the immune prefix is untouched. The birth-ordered walk also
   // feeds the survivor table (allocate-black objects are not survivors).
+  // Only an object with slots can be a remembered-set source (every insert
+  // names a slot), so dead leaves skip the set's lookup.
   {
     profiling::ProfilePhase Phase(&Profiler, profiling::phase::Sweep);
     size_t Begin = firstBornAfter(Boundary);
     size_t Out = Begin;
     Demographics.beginScavenge(Boundary);
     for (size_t I = Begin, E = Objects.size(); I != E; ++I) {
+      if (I + SweepPrefetchDistance < E)
+        prefetchHeader(Objects[I + SweepPrefetchDistance]);
       Object *O = Objects[I];
       if (O->birth() > BlackClock) {
         // Allocate-black: born during the incremental cycle.
@@ -498,7 +502,8 @@ void Heap::finishMarkSweepCycle(AllocClock Boundary, AllocClock BlackClock,
       }
       Work.ReclaimedBytes += O->grossBytes();
       LastStats.ObjectsReclaimed += 1;
-      RemSet.removeSource(O);
+      if (O->numSlots() != 0)
+        RemSet.removeSource(O);
       releaseStorage(O);
     }
     Objects.resize(Out);

@@ -213,6 +213,8 @@ Heap::ScavengeWork Heap::runCopying(AllocClock Boundary) {
     uint64_t Survivors = 0;
     Demographics.beginScavenge(Boundary);
     for (size_t I = Out, E = Objects.size(); I != E; ++I) {
+      if (I + SweepPrefetchDistance < E)
+        prefetchHeader(Objects[I + SweepPrefetchDistance]);
       Object *O = Objects[I];
       if (Object *Survivor = O->relocation()) {
         Survivors += 1;

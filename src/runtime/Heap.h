@@ -590,6 +590,9 @@ private:
 
   /// Index of the first object born strictly after \p Boundary.
   size_t firstBornAfter(core::AllocClock Boundary) const;
+  /// How far ahead of the visited object both sweeps prefetch a header:
+  /// they walk Objects in birth order, but the headers are scattered.
+  static constexpr size_t SweepPrefetchDistance = 8;
 
   /// Byte counts a scavenging strategy reports back to collectAtBoundary.
   struct ScavengeWork {

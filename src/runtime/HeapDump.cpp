@@ -82,10 +82,15 @@ dtb::runtime::collectDemographics(const Heap &H, AllocClock BaseAgeBytes) {
   Demo.Rendezvous = H.lastSafepointRendezvous();
 
   Demo.FlightEventsRecorded = H.flightRecorder().recorded();
-  for (const FlightEvent &E : H.flightRecorder().snapshot())
-    Demo.FlightEvents.push_back(
-        "[" + std::to_string(E.Seq) + "] t=" + std::to_string(E.Time) + " " +
-        describeFlightEvent(E));
+  for (const FlightEvent &E : H.flightRecorder().snapshot()) {
+    std::string Line = "[";
+    Line += std::to_string(E.Seq);
+    Line += "] t=";
+    Line += std::to_string(E.Time);
+    Line += " ";
+    Line += describeFlightEvent(E);
+    Demo.FlightEvents.push_back(std::move(Line));
+  }
   return Demo;
 }
 

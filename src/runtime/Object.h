@@ -175,6 +175,10 @@ private:
 
 static_assert(sizeof(Object) == 24, "object header grew unexpectedly");
 
+/// Asks the cache for \p O's header ahead of its use. Only a hint: it never
+/// reads through the pointer, so a null or stale \p O is harmless.
+inline void prefetchHeader(const Object *O) { __builtin_prefetch(O); }
+
 } // namespace runtime
 } // namespace dtb
 

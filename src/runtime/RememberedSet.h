@@ -65,12 +65,22 @@ public:
     BySource.erase(It);
   }
 
+  /// How many entries ahead of the visited one forEachAndPrune calls its
+  /// lookahead, within the same source's slot list.
+  static constexpr size_t LookaheadEntries = 8;
+
   /// Visits every entry; \p Visitor(Source, SlotIndex) returns true to keep
-  /// the entry and false to prune it.
-  template <typename VisitorT> void forEachAndPrune(VisitorT Visitor) {
+  /// the entry and false to prune it. Before each visit, \p Ahead(Source,
+  /// SlotIndex) is called on the entry LookaheadEntries further along the
+  /// source's slots, if there is one: a chance to prefetch what that visit
+  /// will read.
+  template <typename VisitorT, typename AheadT>
+  void forEachAndPrune(VisitorT Visitor, AheadT Ahead) {
     for (auto It = BySource.begin(); It != BySource.end();) {
       std::vector<uint32_t> &Slots = It->second;
       for (size_t I = 0; I != Slots.size();) {
+        if (I + LookaheadEntries < Slots.size())
+          Ahead(It->first, Slots[I + LookaheadEntries]);
         if (Visitor(It->first, Slots[I])) {
           ++I;
           continue;

@@ -10,9 +10,11 @@
 /// queue, hands one round of it to the lanes, and merges the lanes' output
 /// back in fixed lane order before the next round. Inside a round, lane I
 /// owns the contiguous segment [N*I/L, N*(I+1)/L) of the round's items and
-/// claims indices through a per-segment atomic cursor; a lane whose own
-/// segment runs dry steals from victims in round-robin order (I+1, I+2,
-/// ...), so the load balances without per-item locking.
+/// claims chunks of indices through a per-segment atomic cursor; a lane
+/// whose own segment runs dry steals from victims in round-robin order
+/// (I+1, I+2, ...), so the load balances without per-item locking. Leaves
+/// (objects with no pointer slots) count toward a round but are never
+/// handed to the lanes: scanning one does nothing.
 ///
 /// Determinism: which lane scans an item is scheduling-dependent, but the
 /// *set* of items scanned in a round is exactly the round's content, and
@@ -42,7 +44,6 @@
 #include <atomic>
 #include <cstdint>
 #include <future>
-#include <memory>
 #include <mutex>
 #include <vector>
 
@@ -56,15 +57,23 @@ inline constexpr size_t TraceLaneChildCap = 1u << 16;
 
 /// Rounds with fewer items than this, or fewer pointer slots among their
 /// items, run inline on the calling thread: fan-out costs a few wakeups,
-/// which chain-shaped heaps (round size 1) would pay per object and rounds
-/// of slot-less leaves (nothing to scan) would pay for nothing. Purely a
+/// which chain-shaped heaps (round size 1) would pay per object. Purely a
 /// scheduling decision — results are identical.
 inline constexpr size_t TraceLaneMinRound = 64;
+
+/// Items a lane claims with one cursor fetch_add in a fanned-out round, so
+/// lanes bounce a cursor's cache line once per chunk rather than once per
+/// item. Purely a scheduling decision — results are identical.
+inline constexpr size_t TraceLaneClaimChunk = 32;
+
+/// The cache-line size the lane state is padded to, so that one lane's
+/// counters and cursor never share a line with another's.
+inline constexpr size_t TraceLaneLineBytes = 64;
 
 /// Per-lane accumulation buffers for one scan round. Lanes never touch
 /// each other's buffers; the main thread drains them in fixed lane order
 /// after the round joins.
-struct TraceLane {
+struct alignas(TraceLaneLineBytes) TraceLane {
   /// Newly claimed children, bound for the next round's gray queue.
   std::vector<Object *> Children;
   uint64_t TracedBytes = 0;
@@ -96,7 +105,8 @@ class TraceLaneSet {
 public:
   /// \p Pool, the heap's private trace pool, may be null (one lane).
   explicit TraceLaneSet(ThreadPool *Pool)
-      : Pool(Pool), Lanes(Pool ? Pool->numThreads() + 1 : 1) {
+      : Pool(Pool), Lanes(Pool ? Pool->numThreads() + 1 : 1),
+        Cursors(Lanes.size()) {
     for (TraceLane &Lane : Lanes) {
       Lane.Overflow = &Overflow;
       Lane.OverflowMutex = &OverflowMutex;
@@ -123,7 +133,8 @@ public:
 
   /// Scans Items[0..N), which hold \p Slots pointer slots in all, across
   /// the lanes; Scan(Object*, TraceLane&) must only touch its lane's
-  /// buffers and lane-safe (atomic) object state.
+  /// buffers and lane-safe (atomic) object state. N may be zero (a round
+  /// of leaves): the round still consumes a pending degradation.
   template <typename ScanFn>
   void scanRound(Object *const *Items, size_t N, uint64_t Slots,
                  const ScanFn &Scan) {
@@ -139,32 +150,32 @@ public:
       return;
     }
 
-    auto Cursors = std::make_unique<std::atomic<size_t>[]>(L);
     auto SegmentBegin = [&](unsigned I) { return N * I / L; };
     for (unsigned I = 0; I != L; ++I)
-      Cursors[I].store(SegmentBegin(I), std::memory_order_relaxed);
+      Cursors[I].Next.store(SegmentBegin(I), std::memory_order_relaxed);
 
+    // Claims Chunk items at a time from Cursor until it passes End.
+    auto ClaimAndScan = [&](std::atomic<size_t> &Cursor, size_t End,
+                            size_t Chunk, TraceLane &Lane) {
+      for (;;) {
+        size_t I = Cursor.fetch_add(Chunk, std::memory_order_relaxed);
+        if (I >= End)
+          break;
+        for (size_t Stop = std::min(I + Chunk, End); I != Stop; ++I)
+          Scan(Items[I], Lane);
+      }
+    };
     auto LaneBody = [&](unsigned LaneIndex) {
       TraceLane &Lane = Lanes[LaneIndex];
       if (Degrade) {
         // Single shared cursor: every lane fights for every item.
-        for (;;) {
-          size_t I = Cursors[0].fetch_add(1, std::memory_order_relaxed);
-          if (I >= N)
-            break;
-          Scan(Items[I], Lane);
-        }
+        ClaimAndScan(Cursors[0].Next, N, 1, Lane);
         return;
       }
       for (unsigned V = 0; V != L; ++V) {
         unsigned Victim = (LaneIndex + V) % L;
-        size_t End = SegmentBegin(Victim + 1);
-        for (;;) {
-          size_t I = Cursors[Victim].fetch_add(1, std::memory_order_relaxed);
-          if (I >= End)
-            break;
-          Scan(Items[I], Lane);
-        }
+        ClaimAndScan(Cursors[Victim].Next, SegmentBegin(Victim + 1),
+                     TraceLaneClaimChunk, Lane);
       }
     };
 
@@ -178,8 +189,14 @@ public:
   }
 
 private:
+  /// One lane's segment cursor, alone on its cache line.
+  struct alignas(TraceLaneLineBytes) Cursor {
+    std::atomic<size_t> Next{0};
+  };
+
   ThreadPool *Pool;
   std::vector<TraceLane> Lanes;
+  std::vector<Cursor> Cursors;
   bool DegradeNextRound = false;
   bool DegradeAllRounds = false;
   std::vector<Object *> Overflow;
@@ -193,6 +210,11 @@ private:
 /// the round's freshly claimed children back onto \p Gray. Returns the
 /// gross bytes scanned; \p Gray keeps any unscanned tail when the budget
 /// runs out first. BudgetBytes == 0 means unbounded (monolithic trace).
+///
+/// Every item of the prefix counts toward the round's bytes, the budget
+/// and the return value, but only those with pointer slots are scanned:
+/// they are compacted, in order, to the front of the consumed prefix,
+/// which is discarded after the round anyway.
 ///
 /// When budgeted, \p Gray is kept sorted by birth (unique per object), so
 /// the prefix each quantum selects is independent of lane scheduling —
@@ -213,16 +235,18 @@ uint64_t runTraceQuantum(TraceLaneSet &Lanes, std::vector<Object *> &Gray,
   size_t Head = 0;
   while (Head != Gray.size() && (BudgetBytes == 0 || Scanned < BudgetBytes)) {
     uint64_t Remaining = Canonical ? BudgetBytes - Scanned : UINT64_MAX;
-    size_t Take = 0;
+    size_t Take = 0, NonLeaves = 0;
     uint64_t RoundBytes = 0, RoundSlots = 0;
     while (Head + Take != Gray.size()) {
-      const Object *O = Gray[Head + Take];
+      Object *O = Gray[Head + Take];
       uint64_t Gross = O->grossBytes();
       if (Take != 0 && RoundBytes + Gross > Remaining)
         break;
       RoundBytes += Gross;
       RoundSlots += O->numSlots();
       Take += 1;
+      if (O->numSlots() != 0)
+        Gray[Head + NonLeaves++] = O;
       if (RoundBytes >= Remaining)
         break;
     }
@@ -231,7 +255,7 @@ uint64_t runTraceQuantum(TraceLaneSet &Lanes, std::vector<Object *> &Gray,
     if (faultRequestedAt(FaultSite::ParallelTrace))
       Lanes.degradeNextRound();
     size_t OldSize = Gray.size();
-    Lanes.scanRound(Gray.data() + Head, Take, RoundSlots, Scan);
+    Lanes.scanRound(Gray.data() + Head, NonLeaves, RoundSlots, Scan);
     Head += Take;
     Drain(Gray); // Appends children + overflow in fixed lane order.
     if (Canonical && Gray.size() != OldSize) {

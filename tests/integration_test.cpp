@@ -80,7 +80,7 @@ TEST(IntegrationTest, Fixed4BetweenFullAndFixed1) {
 TEST(IntegrationTest, Fixed4EqualsFullOnGhostAndSis) {
   // Table 2: GHOST and SIS have no lifetimes between 4 MB and forever, so
   // FIXED4 accumulates no tenured garbage and matches FULL closely.
-  for (const std::string &W : {"ghost1", "ghost2", "sis"}) {
+  for (const char *W : {"ghost1", "ghost2", "sis"}) {
     EXPECT_NEAR(cell("fixed4", W).MemMeanBytes,
                 cell("full", W).MemMeanBytes,
                 cell("full", W).MemMeanBytes * 0.02)
@@ -92,7 +92,7 @@ TEST(IntegrationTest, DtbMemRespectsFeasibleConstraint) {
   // 3000 KB is feasible for GHOST(1), ESPRESSO(1), ESPRESSO(2), CFRAC:
   // DTBMEM must keep max memory within the budget (small slack for the
   // approximate garbage model).
-  for (const std::string &W : {"ghost1", "espresso1", "espresso2",
+  for (const char *W : {"ghost1", "espresso1", "espresso2",
                                "cfrac"}) {
     EXPECT_LE(cell("dtbmem", W).MemMaxBytes, 3'000'000u * 101 / 100) << W;
   }
@@ -112,7 +112,7 @@ TEST(IntegrationTest, DtbMemOverConstraintDegradesTowardFull) {
 TEST(IntegrationTest, DtbMemCpuNearFixed1WhenUnconstrained) {
   // Where 3000 KB is not binding, DTBMEM's CPU overhead is close to
   // FIXED1's (the paper's headline: FIXED1 speed with a memory bound).
-  for (const std::string &W : {"ghost1", "espresso1", "cfrac"}) {
+  for (const char *W : {"ghost1", "espresso1", "cfrac"}) {
     EXPECT_LE(cell("dtbmem", W).TotalTracedBytes,
               cell("fixed1", W).TotalTracedBytes * 13 / 10)
         << W;
@@ -127,7 +127,7 @@ TEST(IntegrationTest, DtbFmMedianNearConstraint) {
   // The paper's 100 ms budget: DTBFM's median pause should zero in on it.
   // GHOST and ESPRESSO(2) have enough collections for the median to
   // settle.
-  for (const std::string &W : {"ghost1", "ghost2", "espresso2"}) {
+  for (const char *W : {"ghost1", "ghost2", "espresso2"}) {
     double Median = cell("dtbfm", W).PauseMillis.median();
     EXPECT_GE(Median, 60.0) << W;
     EXPECT_LE(Median, 140.0) << W;
@@ -135,7 +135,7 @@ TEST(IntegrationTest, DtbFmMedianNearConstraint) {
 }
 
 TEST(IntegrationTest, DtbFmMedianAtLeastAsCloseAsFeedMedOnGhost) {
-  for (const std::string &W : {"ghost1", "ghost2"}) {
+  for (const char *W : {"ghost1", "ghost2"}) {
     double DtbFm = cell("dtbfm", W).PauseMillis.median();
     double FeedMed = cell("feedmed", W).PauseMillis.median();
     EXPECT_LE(std::abs(DtbFm - 100.0), std::abs(FeedMed - 100.0) + 15.0)

@@ -121,9 +121,11 @@ TEST_P(ChaosTest, EverythingAtOnceStaysSound) {
       // audit the weak references.
       for (Object *Pinned : PinnedObjects)
         ASSERT_TRUE(Pinned->isAlive());
-      for (const auto &Weak : Weaks)
-        if (Weak->get())
+      for (const auto &Weak : Weaks) {
+        if (Weak->get()) {
           ASSERT_TRUE(Weak->get()->isAlive());
+        }
+      }
 
       VerifyResult Result = verifyHeap(H);
       ASSERT_TRUE(Result.Ok) << Result.Problems.front();
@@ -239,9 +241,11 @@ TEST_P(FaultChaosTest, DegradesGracefullyNeverAborts) {
       H.collect();
       for (Object *Pinned : PinnedObjects)
         ASSERT_TRUE(Pinned->isAlive());
-      for (const auto &Weak : Weaks)
-        if (Weak->get())
+      for (const auto &Weak : Weaks) {
+        if (Weak->get()) {
           ASSERT_TRUE(Weak->get()->isAlive());
+        }
+      }
       VerifyResult Result = verifyHeap(H);
       ASSERT_TRUE(Result.Ok) << Result.Problems.front();
     }

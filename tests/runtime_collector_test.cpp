@@ -176,6 +176,45 @@ TEST(CollectorTest, DyingSourceDropsItsEntries) {
   EXPECT_TRUE(H.rememberedSet().empty());
 }
 
+TEST(CollectorTest, SweepDropsOnlyDeadSourcesEntries) {
+  Heap H(quarantineConfig());
+  HandleScope Scope(H);
+  Object *&LiveOld = Scope.slot(H.allocate(2));
+  const core::AllocClock Boundary = H.now();
+  H.writeSlot(LiveOld, 0, H.allocate(0, 16));
+  H.writeSlot(LiveOld, 1, H.allocate(0, 24));
+  for (int I = 0; I != 100; ++I)
+    H.allocate(0, 8 + I % 32); // Dead leaves: never remembered sources.
+  ASSERT_EQ(H.rememberedSet().size(), 2u);
+
+  H.collectAtBoundary(Boundary);
+  EXPECT_EQ(H.lastCollectionStats().ObjectsReclaimed, 100u);
+  EXPECT_EQ(H.rememberedSet().size(), 2u);
+  VerifyResult Verified = verifyHeap(H);
+  EXPECT_TRUE(Verified.Ok) << (Verified.Problems.empty()
+                                   ? ""
+                                   : Verified.Problems.front());
+
+  // A threatened, unreachable source with three forward-in-time entries:
+  // the remembered-set scan keeps them (they are not stale), and the
+  // sweep drops exactly those three when the source dies.
+  Object *DeadSource = H.allocate(3);
+  for (uint32_t S = 0; S != 3; ++S)
+    H.writeSlot(DeadSource, S, H.allocate(0, 8));
+  H.allocate(0, 40); // One more dead leaf.
+  ASSERT_EQ(H.rememberedSet().size(), 5u);
+
+  H.collectAtBoundary(Boundary);
+  EXPECT_EQ(H.lastCollectionStats().ObjectsReclaimed, 5u);
+  EXPECT_EQ(H.rememberedSet().size(), 2u);
+  EXPECT_TRUE(H.rememberedSet().contains(LiveOld, 0));
+  EXPECT_TRUE(H.rememberedSet().contains(LiveOld, 1));
+  Verified = verifyHeap(H);
+  EXPECT_TRUE(Verified.Ok) << (Verified.Problems.empty()
+                                   ? ""
+                                   : Verified.Problems.front());
+}
+
 TEST(CollectorTest, QuarantinePoisonsPayload) {
   Heap H(quarantineConfig());
   Object *Garbage = H.allocate(0, 8);

@@ -99,8 +99,9 @@ TEST(IncrementalTraceTest, BudgetedCollectionsMatchMonolithic) {
     EXPECT_LE(Stats.MaxQuantumTracedBytes, Budget + MaxBuiltGrossBytes)
         << "budget " << Budget;
     EXPECT_GE(Stats.TraceQuanta, 1u);
-    if (Budget < Reference[1].TracedBytes)
+    if (Budget < Reference[1].TracedBytes) {
       EXPECT_GT(Stats.TraceQuanta, 1u) << "budget " << Budget;
+    }
 
     VerifyResult Verified = verifyHeap(H);
     EXPECT_TRUE(Verified.Ok) << (Verified.Problems.empty()

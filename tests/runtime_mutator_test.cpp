@@ -82,9 +82,10 @@ TEST(TlabTest, CarveRefillRetireInvariants) {
       RangeBytes += static_cast<uint64_t>(
           static_cast<const char *>(Ranges[I].second) -
           static_cast<const char *>(Ranges[I].first));
-      if (I != 0)
+      if (I != 0) {
         ASSERT_LE(Ranges[I - 1].second, Ranges[I].first)
             << "TLAB blocks overlap";
+      }
     }
     EXPECT_EQ(RangeBytes, Stats.TlabCarvedBytes);
     EXPECT_LE(Stats.TlabWastedBytes, Stats.TlabCarvedBytes);

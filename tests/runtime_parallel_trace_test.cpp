@@ -180,6 +180,80 @@ RunResult runLeafHeavyCopying(unsigned Lanes) {
   return snapshot(H);
 }
 
+/// What one collection over buildMixedRounds' heap reports.
+struct MixedRoundsRun {
+  CollectionStats Stats;
+  uint64_t TracedBytes = 0;
+  /// ParallelTrace fault-site consultations: one per trace round.
+  uint64_t Rounds = 0;
+};
+
+/// Sizes of buildMixedRounds' heap.
+constexpr uint32_t MixedOldBuckets = 8, MixedOldWidth = 64;
+constexpr uint32_t MixedBuckets = 80, MixedWidth = 16, MixedLeafSlots = 12;
+constexpr uint32_t MixedChainLength = 3;
+
+/// Collects a heap whose trace rounds hold leaves and objects with slots
+/// side by side: old buckets reach young leaves through the remembered
+/// set, young handle-rooted buckets hold leaves in most slots and one-slot
+/// chains (each ending in a leaf) in the rest, and leaf and slotted
+/// garbage lie in between. The boundary lies between the old buckets and
+/// everything else. With a zero budget the rounds are: buckets and
+/// remembered leaves; leaves and first chain nodes; two rounds of chain
+/// nodes; the chains' end leaves alone.
+MixedRoundsRun collectMixedRounds(CollectorKind Kind, unsigned Lanes,
+                                  uint64_t BudgetBytes, bool Degrade) {
+  HeapConfig Config;
+  Config.TriggerBytes = 0;
+  Config.Collector = Kind;
+  Config.TraceThreads = Lanes;
+  Config.ScavengeBudgetBytes = BudgetBytes;
+  Heap H(Config);
+  HandleScope Scope(H);
+
+  std::vector<Object **> OldBuckets;
+  for (uint32_t B = 0; B != MixedOldBuckets; ++B)
+    OldBuckets.push_back(&Scope.slot(H.allocate(MixedOldWidth, 8)));
+  const core::AllocClock Boundary = H.now();
+  for (uint32_t B = 0; B != MixedOldBuckets; ++B)
+    for (uint32_t S = 0; S != MixedOldWidth; ++S)
+      H.writeSlot(*OldBuckets[B], S, H.allocate(0, 8 + (B * 7 + S) % 40));
+  for (uint32_t B = 0; B != MixedBuckets; ++B) {
+    Object *&Bucket = Scope.slot(H.allocate(MixedWidth, 8));
+    for (uint32_t S = 0; S != MixedWidth; ++S) {
+      if (S < MixedLeafSlots) {
+        H.writeSlot(Bucket, S, H.allocate(0, 8 + (B + S * 5) % 56));
+        H.allocate(0, 16); // Leaf garbage.
+        continue;
+      }
+      Object *Node = H.allocate(0, 24); // The chain's end leaf.
+      for (uint32_t K = 0; K != MixedChainLength; ++K) {
+        Object *Next = Node;
+        Node = H.allocate(1, 8 * K);
+        H.writeSlot(Node, 0, Next);
+      }
+      H.writeSlot(Bucket, S, Node);
+      H.allocate(2, 8); // Garbage with slots.
+    }
+  }
+
+  FaultInjector Injector(test::effectiveSeed(11));
+  if (Degrade)
+    Injector.setProbability(FaultSite::ParallelTrace, 1.0);
+  MixedRoundsRun Run;
+  {
+    FaultInjectionScope FaultScope(Injector);
+    Run.TracedBytes = H.collectAtBoundary(Boundary).TracedBytes;
+  }
+  Run.Stats = H.lastCollectionStats();
+  Run.Rounds = Injector.hits(FaultSite::ParallelTrace);
+  VerifyResult Verified = verifyHeap(H);
+  EXPECT_TRUE(Verified.Ok) << (Verified.Problems.empty()
+                                   ? ""
+                                   : Verified.Problems.front());
+  return Run;
+}
+
 } // namespace
 
 TEST(ParallelTraceTest, MarkSweepGhostRunIsLaneCountInvariant) {
@@ -228,6 +302,69 @@ TEST(ParallelTraceTest, LeafHeavyCopyingIsLaneCountInvariant) {
   RunResult Serial = runLeafHeavyCopying(1);
   ASSERT_EQ(Serial.Records.size(), 4u);
   expectIdentical(Serial, runLeafHeavyCopying(4));
+}
+
+TEST(ParallelTraceTest, MixedLeafRoundsAreLaneAndBudgetInvariant) {
+  // Every reachable threatened object, leaves included, is traced and
+  // counted toward its quantum although only objects with slots are
+  // scanned.
+  const uint64_t Leaves = MixedOldBuckets * MixedOldWidth +
+                          MixedBuckets * (MixedWidth - MixedLeafSlots) +
+                          MixedBuckets * MixedLeafSlots;
+  const uint64_t Chains = MixedBuckets * (MixedWidth - MixedLeafSlots);
+  const uint64_t Objects = Leaves + MixedBuckets + Chains * MixedChainLength;
+  uint64_t Bytes = MixedBuckets * Object::grossBytesFor(MixedWidth, 8) +
+                   Chains * Object::grossBytesFor(0, 24);
+  for (uint32_t B = 0; B != MixedOldBuckets; ++B)
+    for (uint32_t S = 0; S != MixedOldWidth; ++S)
+      Bytes += Object::grossBytesFor(0, 8 + (B * 7 + S) % 40);
+  for (uint32_t B = 0; B != MixedBuckets; ++B)
+    for (uint32_t S = 0; S != MixedLeafSlots; ++S)
+      Bytes += Object::grossBytesFor(0, 8 + (B + S * 5) % 56);
+  for (uint32_t K = 0; K != MixedChainLength; ++K)
+    Bytes += Chains * Object::grossBytesFor(1, 8 * K);
+
+  for (CollectorKind Kind :
+       {CollectorKind::MarkSweep, CollectorKind::Copying}) {
+    for (uint64_t Budget : {uint64_t(0), uint64_t(4'096), uint64_t(1) << 20}) {
+      for (bool Degrade : {false, true}) {
+        SCOPED_TRACE(testing::Message()
+                     << (Kind == CollectorKind::MarkSweep ? "mark-sweep"
+                                                          : "copying")
+                     << " budget " << Budget
+                     << (Degrade ? " degraded" : ""));
+        MixedRoundsRun Serial = collectMixedRounds(Kind, 1, Budget, Degrade);
+        MixedRoundsRun Fanned = collectMixedRounds(Kind, 4, Budget, Degrade);
+        for (const MixedRoundsRun *Run : {&Serial, &Fanned}) {
+          EXPECT_EQ(Run->TracedBytes, Bytes);
+          EXPECT_EQ(Run->Stats.ObjectsTraced, Objects);
+        }
+        EXPECT_EQ(Serial.Stats.TraceQuanta, Fanned.Stats.TraceQuanta);
+        EXPECT_EQ(Serial.Stats.MaxQuantumTracedBytes,
+                  Fanned.Stats.MaxQuantumTracedBytes);
+        EXPECT_EQ(Serial.Stats.LaneOverflowEvents,
+                  Fanned.Stats.LaneOverflowEvents);
+        EXPECT_EQ(Serial.Rounds, Fanned.Rounds);
+        // A degraded round sends every child it claims through the
+        // overflow list: everything but the roots and remembered targets.
+        EXPECT_EQ(Serial.Stats.LaneOverflowEvents,
+                  Degrade ? Objects - MixedBuckets -
+                                MixedOldBuckets * MixedOldWidth
+                          : 0u);
+        if (Budget == 0) {
+          // One quantum of five rounds, the last of leaves only; each
+          // round consults the fault site once.
+          EXPECT_EQ(Serial.Stats.TraceQuanta, 1u);
+          EXPECT_EQ(Serial.Stats.MaxQuantumTracedBytes, Bytes);
+          EXPECT_EQ(Serial.Rounds, 5u);
+        } else if (Budget < Bytes) {
+          EXPECT_GT(Serial.Stats.TraceQuanta, 1u);
+          EXPECT_LE(Serial.Stats.MaxQuantumTracedBytes,
+                    Budget + Object::grossBytesFor(MixedWidth, 8));
+        }
+      }
+    }
+  }
 }
 
 TEST(ParallelTraceTest, PinnedObjectsTracedInPlaceUnderLanes) {

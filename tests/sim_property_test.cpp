@@ -94,8 +94,9 @@ TEST_P(SimPropertyTest, BoundariesAndConservationForEveryPolicy) {
       EXPECT_LE(Rec.TracedBytes, Rec.MemBeforeBytes) << Name;
       // After the first scavenge, every paper policy traces each object
       // at least once: TB_n <= t_{n-1}.
-      if (I > 0)
+      if (I > 0) {
         EXPECT_LE(Rec.Boundary, Records[I - 1].Time) << Name;
+      }
       // Residency never drops below the oracle live bytes.
       EXPECT_GE(Rec.SurvivedBytes, oracleLiveAt(T, Rec.Time)) << Name;
     }

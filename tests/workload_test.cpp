@@ -107,10 +107,11 @@ TEST(WorkloadTest, PhasesPartitionTheClock) {
   trace::Trace T = generateTrace(Spec);
   uint64_t Half = 250'000;
   for (const trace::AllocationRecord &R : T.records()) {
-    if (R.Birth <= Half)
+    if (R.Birth <= Half) {
       EXPECT_EQ(R.Death, trace::NeverDies);
-    else if (R.Birth > Half + 5'000) // Skip the boundary object.
+    } else if (R.Birth > Half + 5'000) { // Skip the boundary object.
       EXPECT_NE(R.Death, trace::NeverDies);
+    }
   }
 }
 
