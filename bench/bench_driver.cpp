@@ -114,11 +114,9 @@ int main(int Argc, char **Argv) {
                    static_cast<unsigned long long>(TopN));
       profiling::buildCostAttributionTable(Profiler, TopN).print(stderr);
     }
-    if (Result.Profiles.empty() || !profiling::compiledIn())
-      std::fprintf(stderr, "\n(no phase profile: %s)\n",
-                   profiling::compiledIn()
-                       ? "suite records no profiled stages"
-                       : "telemetry compiled out");
+    if (Result.Profiles.empty())
+      std::fprintf(stderr,
+                   "\n(no phase profile: suite records no profiled stages)\n");
   }
   return 0;
 }

@@ -87,8 +87,8 @@ BENCHMARK(BM_AllocateTLAB)->ComputeStatistics("min", minimumOf);
 void BM_AllocateTLABCounters(benchmark::State &State) {
   // BM_AllocateTLAB with the telemetry recorder live: the difference is
   // the whole observability tax on the context allocation path — the
-  // per-mutator counters (TLAB carve/waste, polls) are compile-time and
-  // present in both, so what this isolates is the runtime-gated part
+  // per-mutator counters (TLAB refills and waste, polls) are plain fields
+  // updated in both, so what this isolates is the recorder-gated part
   // (global alloc counters, per-mutator track emission at safepoints).
   // CI diffs this against BM_AllocateTLAB and fails above ~1%.
   telemetry::recorder().enable();
@@ -109,8 +109,7 @@ void BM_AllocateTLABCounters(benchmark::State &State) {
   telemetry::recorder().disable();
   telemetry::recorder().buffer().clear();
   State.SetItemsProcessed(State.iterations());
-  State.SetLabel(telemetry::compiledIn() ? "counters-live"
-                                         : "telemetry-compiled-out");
+  State.SetLabel("counters-live");
 }
 BENCHMARK(BM_AllocateTLABCounters)->ComputeStatistics("min", minimumOf);
 
@@ -138,9 +137,8 @@ BENCHMARK(BM_SafepointRendezvous)
 void BM_AllocateTelemetryEnabled(benchmark::State &State) {
   // Same loop with the recorder live: the difference from BM_Allocate is
   // the full telemetry cost on the allocation path (two cached counter
-  // adds). BM_Allocate itself is the compiled-in-but-disabled number —
-  // telemetry::enabled() is one relaxed load there — to compare against a
-  // -DDTB_ENABLE_TELEMETRY=OFF build for the zero-overhead check.
+  // adds). BM_Allocate itself is the disabled-recorder number, where
+  // telemetry::enabled() is one relaxed load.
   telemetry::recorder().enable();
   auto H = std::make_unique<Heap>(manualConfig());
   size_t Created = 0;
@@ -156,8 +154,7 @@ void BM_AllocateTelemetryEnabled(benchmark::State &State) {
   telemetry::recorder().disable();
   telemetry::recorder().buffer().clear();
   State.SetItemsProcessed(State.iterations());
-  State.SetLabel(telemetry::compiledIn() ? "telemetry-enabled"
-                                         : "telemetry-compiled-out");
+  State.SetLabel("telemetry-enabled");
 }
 BENCHMARK(BM_AllocateTelemetryEnabled)->ComputeStatistics("min", minimumOf);
 
@@ -166,8 +163,7 @@ void BM_AllocateProfilerArmed(benchmark::State &State) {
   // as well. The profiler instruments collector phases, not allocation, so
   // arming it must not move this number: CI diffs the two benchmarks and
   // fails if the profiler adds more than noise (~1%) to the allocation
-  // path. (With telemetry compiled out both collapse to BM_Allocate:
-  // ProfilePhase is an empty type and the overhead is exactly zero.)
+  // path.
   telemetry::recorder().enable();
   auto H = std::make_unique<Heap>(manualConfig());
   H->profiler().setEnabled(true);
@@ -185,8 +181,7 @@ void BM_AllocateProfilerArmed(benchmark::State &State) {
   telemetry::recorder().disable();
   telemetry::recorder().buffer().clear();
   State.SetItemsProcessed(State.iterations());
-  State.SetLabel(telemetry::compiledIn() ? "profiler-armed"
-                                         : "telemetry-compiled-out");
+  State.SetLabel("profiler-armed");
 }
 BENCHMARK(BM_AllocateProfilerArmed)->ComputeStatistics("min", minimumOf);
 
@@ -246,38 +241,49 @@ void buildMixedHeap(Heap &H, HandleScope &Scope, size_t Count) {
 
 /// Scavenge cost per strategy at a full boundary: mark-sweep frees dead
 /// objects individually; copying clones survivors and releases the region.
+/// The heap of the previous iteration is torn down with timing paused, so
+/// only the collection is timed.
 void BM_ScavengeStrategy(benchmark::State &State) {
   const size_t Nodes = 20'000;
   const bool Copying = State.range(0) != 0;
+  HeapConfig Config = manualConfig();
+  Config.Collector =
+      Copying ? CollectorKind::Copying : CollectorKind::MarkSweep;
+  std::unique_ptr<Heap> H;
+  std::unique_ptr<HandleScope> Scope;
   for (auto _ : State) {
     State.PauseTiming();
-    HeapConfig Config = manualConfig();
-    Config.Collector =
-        Copying ? CollectorKind::Copying : CollectorKind::MarkSweep;
-    Heap H(Config);
-    HandleScope Scope(H);
-    buildMixedHeap(H, Scope, Nodes);
+    Scope.reset();
+    H = std::make_unique<Heap>(Config);
+    Scope = std::make_unique<HandleScope>(*H);
+    buildMixedHeap(*H, *Scope, Nodes);
     State.ResumeTiming();
-    benchmark::DoNotOptimize(H.collectAtBoundary(0));
+    benchmark::DoNotOptimize(H->collectAtBoundary(0));
   }
+  Scope.reset();
   State.SetLabel(Copying ? "copying" : "mark-sweep");
 }
 
 void BM_ScavengeByBoundary(benchmark::State &State) {
   // Scavenge cost as the boundary moves back: Arg(0) is the threatened
-  // fraction of the heap in percent. Pause ~ threatened live bytes.
+  // fraction of the heap in percent. Pause ~ threatened live bytes. As in
+  // BM_ScavengeStrategy, teardown runs with timing paused.
   const size_t Nodes = 20'000;
   const int ThreatenedPercent = static_cast<int>(State.range(0));
+  std::unique_ptr<Heap> H;
+  std::unique_ptr<HandleScope> Scope;
   for (auto _ : State) {
     State.PauseTiming();
-    Heap H(manualConfig());
-    HandleScope Scope(H);
-    buildMixedHeap(H, Scope, Nodes);
+    Scope.reset();
+    H = std::make_unique<Heap>(manualConfig());
+    Scope = std::make_unique<HandleScope>(*H);
+    buildMixedHeap(*H, *Scope, Nodes);
     core::AllocClock Boundary =
-        H.now() - H.now() * static_cast<uint64_t>(ThreatenedPercent) / 100;
+        H->now() - H->now() * static_cast<uint64_t>(ThreatenedPercent) / 100;
     State.ResumeTiming();
-    benchmark::DoNotOptimize(H.collectAtBoundary(Boundary));
+    benchmark::DoNotOptimize(H->collectAtBoundary(Boundary));
   }
+  Scope.reset();
   State.SetLabel(std::to_string(ThreatenedPercent) + "% threatened");
 }
 BENCHMARK(BM_ScavengeByBoundary)->Arg(10)->Arg(25)->Arg(50)->Arg(100);

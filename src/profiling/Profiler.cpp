@@ -10,8 +10,6 @@
 using namespace dtb;
 using namespace dtb::profiling;
 
-#if DTB_TELEMETRY
-
 void PhaseProfiler::enter(const char *Name) {
   Frame F;
   F.Name = Name;
@@ -84,8 +82,6 @@ void PhaseProfiler::reset() {
   Aggregates.clear();
 }
 
-#endif // DTB_TELEMETRY
-
 namespace {
 
 /// Population standard deviation of a sample set (two-pass; the sets here
@@ -140,25 +136,4 @@ Table dtb::profiling::buildCostAttributionTable(const PhaseProfiler &Profiler,
               Table::cell(sampleStddev(Agg->SelfCostSamples), 1)});
   }
   return T;
-}
-
-void dtb::profiling::publishToMetrics(const PhaseProfiler &Profiler,
-                                      const std::string &Domain) {
-#if DTB_TELEMETRY
-  telemetry::MetricsRegistry &Registry = telemetry::MetricsRegistry::global();
-  for (const auto &[Name, Agg] : Profiler.aggregates()) {
-    const std::string Base = "profile." + Domain + "." + Name;
-    Registry.counter(Base + ".count").add(Agg.Count);
-    Registry.counter(Base + ".self_cost").add(Agg.SelfCost);
-    Registry.counter(Base + ".total_cost").add(Agg.TotalCost);
-    telemetry::LogHistogram &H = Registry.histogram(Base + ".self_cost_hist");
-    for (double Sample : Agg.SelfCostSamples.samples())
-      H.record(Sample);
-    Registry.histogram("wall.profile." + Domain + "." + Name + "_ns")
-        .record(Agg.WallSelfNanos);
-  }
-#else
-  (void)Profiler;
-  (void)Domain;
-#endif
 }

@@ -37,10 +37,8 @@
 /// the attribution deterministic.
 ///
 /// Overhead: ProfilePhase checks PhaseProfiler::active() once at
-/// construction (profiler enabled, or telemetry recording). When the
-/// telemetry subsystem is compiled out (-DDTB_ENABLE_TELEMETRY=OFF) every
-/// member here compiles to nothing — ProfilePhase is an empty type and
-/// the instrumentation is dead code.
+/// construction (profiler enabled, or telemetry recording); an inactive
+/// scope costs that check and nothing else.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -59,10 +57,6 @@
 
 namespace dtb {
 namespace profiling {
-
-/// True when the profiler was compiled in (it rides the telemetry
-/// compile-out switch).
-constexpr bool compiledIn() { return telemetry::compiledIn(); }
 
 /// The shared phase taxonomy. The runtime and the simulator must report
 /// through these names so their profiles are comparable; new phases are
@@ -117,31 +111,17 @@ struct PhaseTreeNode {
   uint64_t TotalCost = 0;
 };
 
-/// Per-collector phase profiler; see the file comment. All methods are
-/// no-ops when telemetry is compiled out.
+/// Per-collector phase profiler; see the file comment.
 class PhaseProfiler {
 public:
   /// Whether ProfilePhase scopes should record right now: explicitly
   /// enabled, or the telemetry recorder is live.
-  bool active() const {
-#if DTB_TELEMETRY
-    return Enabled || telemetry::enabled();
-#else
-    return false;
-#endif
-  }
+  bool active() const { return Enabled || telemetry::enabled(); }
 
   /// Forces recording on/off independent of telemetry (the bench driver
   /// profiles without exporting an event stream).
-  void setEnabled(bool On) {
-#if DTB_TELEMETRY
-    Enabled = On;
-#else
-    (void)On;
-#endif
-  }
+  void setEnabled(bool On) { Enabled = On; }
 
-#if DTB_TELEMETRY
   /// Opens a phase frame. Callers use ProfilePhase, which pairs enter and
   /// exit and remembers whether the profiler was active at entry.
   void enter(const char *Name);
@@ -171,22 +151,8 @@ public:
 
   /// Drops all aggregates and any open tree.
   void reset();
-#else
-  void finishScavenge() {}
-  const std::vector<PhaseTreeNode> &lastTree() const {
-    static const std::vector<PhaseTreeNode> Empty;
-    return Empty;
-  }
-  const std::map<std::string, PhaseAggregate> &aggregates() const {
-    static const std::map<std::string, PhaseAggregate> Empty;
-    return Empty;
-  }
-  void mergeFrom(const PhaseProfiler &) {}
-  void reset() {}
-#endif
 
 private:
-#if DTB_TELEMETRY
   struct Frame {
     const char *Name;
     int TreeIndex;
@@ -203,16 +169,13 @@ private:
   std::vector<PhaseTreeNode> Tree;
   std::vector<PhaseTreeNode> LastTree;
   std::map<std::string, PhaseAggregate> Aggregates;
-#endif
 };
 
 /// RAII phase scope. Arms itself only when \p Profiler is non-null and
 /// active at construction, so a scope opened before recording starts never
-/// runs an unmatched exit. An empty no-op type when telemetry is compiled
-/// out.
+/// runs an unmatched exit.
 class ProfilePhase {
 public:
-#if DTB_TELEMETRY
   ProfilePhase(PhaseProfiler *Profiler, const char *Name)
       : Profiler(Profiler && Profiler->active() ? Profiler : nullptr) {
     if (this->Profiler)
@@ -227,18 +190,12 @@ public:
     if (Profiler)
       Profiler->addCost(Units);
   }
-#else
-  ProfilePhase(PhaseProfiler *, const char *) {}
-  void addCost(uint64_t) {}
-#endif
 
   ProfilePhase(const ProfilePhase &) = delete;
   ProfilePhase &operator=(const ProfilePhase &) = delete;
 
 private:
-#if DTB_TELEMETRY
   PhaseProfiler *Profiler;
-#endif
 };
 
 /// Renders the cost-attribution summary: the top \p TopN phases by self
@@ -246,14 +203,6 @@ private:
 /// deviation of per-entry self cost. Deterministic (wall time excluded).
 Table buildCostAttributionTable(const PhaseProfiler &Profiler,
                                 size_t TopN = 16);
-
-/// Records every aggregate into the global telemetry metrics registry
-/// (histograms "profile.<domain>.<phase>.self_cost" plus counters for
-/// totals, and "wall.profile.<domain>.<phase>_ns" for wall time), so the
-/// existing telemetry exporters carry the profile. \p Domain is "runtime"
-/// or "sim". No-op when telemetry is disabled.
-void publishToMetrics(const PhaseProfiler &Profiler,
-                      const std::string &Domain);
 
 } // namespace profiling
 } // namespace dtb

@@ -47,16 +47,11 @@ std::string captureLine(const char *Command) {
 
 std::string buildFlagsString() {
   std::string Flags;
-#if DTB_TELEMETRY
-  Flags += "telemetry=on";
-#else
-  Flags += "telemetry=off";
-#endif
 #ifdef NDEBUG
-  Flags += ";ndebug";
+  Flags += "ndebug";
 #endif
 #ifdef __VERSION__
-  Flags += ";compiler=" __VERSION__;
+  Flags += (Flags.empty() ? "" : ";") + std::string("compiler=" __VERSION__);
 #endif
   return Flags;
 }
@@ -411,7 +406,7 @@ void runRuntimePolicies(const RuntimeScale &Scale, unsigned TraceLanes,
 }
 
 //===----------------------------------------------------------------------===//
-// Mutator-observability stage (TTSP + per-mutator counters)
+// Mutator-counters stage (TTSP + per-mutator counters)
 //===----------------------------------------------------------------------===//
 
 /// Drives four registered MutatorContexts round-robin from ONE thread
@@ -424,7 +419,7 @@ void runRuntimePolicies(const RuntimeScale &Scale, unsigned TraceLanes,
 /// publication, barrier flush) runs for real, but on one thread, so the
 /// exported exact metrics are bit-identical across --threads settings
 /// and machines, and bench_compare gates them against the baseline.
-void runMutatorObservabilityStage(BenchRecord &Record) {
+void runMutatorCountersStage(BenchRecord &Record) {
   constexpr size_t NumContexts = 4;
   constexpr uint64_t Steps = 6'000;
 
@@ -478,7 +473,6 @@ void runMutatorObservabilityStage(BenchRecord &Record) {
 
   Record.addExact("runtime.safepoint.rendezvous", "count",
                   static_cast<double>(H.lastSafepointRendezvous().Serial));
-#if DTB_TELEMETRY
   const runtime::SafepointTtspStats &Ttsp = H.safepointTtspStats();
   Record.addExact("runtime.safepoint.ttsp_p50", "ms",
                   Ttsp.TtspMillis.quantile(0.5));
@@ -492,7 +486,6 @@ void runMutatorObservabilityStage(BenchRecord &Record) {
                   static_cast<double>(Ttsp.StragglerParked));
   Record.addExact("runtime.safepoint.straggler_polling", "count",
                   static_cast<double>(Ttsp.StragglerPolling));
-#endif
   for (size_t I = 0; I != NumContexts; ++I) {
     const runtime::MutatorContext::Stats &S = Ctxs[I]->stats();
     std::string Prefix =
@@ -505,16 +498,13 @@ void runMutatorObservabilityStage(BenchRecord &Record) {
                     static_cast<double>(S.TlabRefills));
     Record.addExact(Prefix + "barrier_flushes", "count",
                     static_cast<double>(S.BarrierFlushes));
-#if DTB_TELEMETRY
     Record.addExact(Prefix + "tlab_waste_bytes", "bytes",
-                    static_cast<double>(S.Obs.TlabWastedBytes));
+                    static_cast<double>(S.TlabWastedBytes));
     Record.addExact(Prefix + "barrier_high_water", "count",
-                    static_cast<double>(S.Obs.BarrierHighWater));
+                    static_cast<double>(S.BarrierHighWater));
     Record.addExact(Prefix + "safepoint_polls", "count",
-                    static_cast<double>(S.Obs.SafepointPolls));
-    Record.addExact(Prefix + "parks", "count",
-                    static_cast<double>(S.Obs.Parks));
-#endif
+                    static_cast<double>(S.SafepointPolls));
+    Record.addExact(Prefix + "parks", "count", static_cast<double>(S.Parks));
   }
 }
 
@@ -697,7 +687,7 @@ BenchSuiteResult dtb::report::runBenchSuite(const BenchDriverOptions &Options) {
     runSimGridStage(quickWorkloads(), quickGridConfig(Options.Threads),
                     Record, Sim);
     runRuntimePolicies(QuickRuntime, TraceLanes, &Record, &Runtime);
-    runMutatorObservabilityStage(Record);
+    runMutatorCountersStage(Record);
     if (Options.IncludeWall) {
       Record.addWall("wall/quick/sim_grid_seconds", "seconds",
                      measureWall(Options, [&] {
@@ -731,7 +721,7 @@ BenchSuiteResult dtb::report::runBenchSuite(const BenchDriverOptions &Options) {
   } else if (Options.Suite == "runtime") {
     profiling::PhaseProfiler &Runtime = Result.Profiles["runtime"];
     runRuntimePolicies(FullRuntime, TraceLanes, &Record, &Runtime);
-    runMutatorObservabilityStage(Record);
+    runMutatorCountersStage(Record);
     if (Options.IncludeWall) {
       Record.addWall("wall/runtime/policies_seconds", "seconds",
                      measureWall(Options, [&] {
@@ -745,7 +735,7 @@ BenchSuiteResult dtb::report::runBenchSuite(const BenchDriverOptions &Options) {
   } else if (Options.Suite == "server") {
     profiling::PhaseProfiler &Sim = Result.Profiles["sim"];
     runServerGridStage(Options.Threads, &Record, &Sim);
-    runMutatorObservabilityStage(Record);
+    runMutatorCountersStage(Record);
     if (Options.IncludeWall)
       Record.addWall("wall/server/sim_grid_seconds", "seconds",
                      measureWall(Options, [&] {

@@ -117,8 +117,6 @@ struct BenchRecord {
 /// Folds a profiler's aggregates into \p Record: one BenchPhase per phase
 /// under \p Domain, plus exact metrics "phase/<domain>/<name>/self_cost"
 /// and ".../total_cost" so phase costs ride the normal comparator path.
-/// With telemetry compiled out the aggregates are empty and this is a
-/// no-op.
 void addProfileToRecord(const profiling::PhaseProfiler &Profiler,
                         const std::string &Domain, BenchRecord &Record);
 

@@ -27,7 +27,6 @@
 #include "telemetry/Telemetry.h"
 
 #include <cassert>
-#include <chrono>
 #include <vector>
 
 using namespace dtb;
@@ -208,7 +207,7 @@ void Heap::emitScavengeTelemetry(const core::ScavengeRecord &Record) {
   Tb.TsClock = Record.Time;
   Tb.Args = {tm::arg("tb", Record.Boundary), tm::arg("rule", Rule)};
   if (PendingDecisionValid) {
-    const core::BoundaryDecision &D = LastDecision;
+    const core::BoundaryDecision &D = PendingDecision;
     if (D.TraceMaxBytes != 0)
       Tb.Args.push_back(tm::arg("trace_max_bytes", D.TraceMaxBytes));
     if (D.MemMaxBytes != 0)
@@ -365,47 +364,20 @@ void Heap::drainTraceLanes(TraceLaneSet &Lanes, std::vector<Object *> &Gray,
   Overflow.clear();
 }
 
-uint64_t Heap::traceMarkSweepQuantum(AllocClock Boundary,
-                                     AllocClock BlackClock,
-                                     std::vector<Object *> &Gray,
-                                     uint64_t BudgetBytes,
-                                     ScavengeWork &Work) {
-  // The watchdog's retry-halving backoff overrides the configured budget
-  // for the remainder of this collection.
-  if (EffectiveBudgetBytes != 0)
-    BudgetBytes = EffectiveBudgetBytes;
-
-  TraceLaneSet Lanes(tracePool());
-  if (WatchdogSerial)
-    Lanes.degradeAllRounds();
-
-  // Wall time is quarantined observability (like every `wall.` metric):
-  // it never feeds the deterministic violation decision below.
-  std::chrono::steady_clock::time_point WallStart;
-  const bool MeasureWall = telemetry::enabled();
-  if (MeasureWall)
-    WallStart = std::chrono::steady_clock::now();
-
-  uint64_t Scanned = runTraceQuantum(
-      Lanes, Gray, BudgetBytes,
-      [&](Object *O, TraceLane &Lane) {
-        scanMarkSweepObject(O, Boundary, BlackClock, Lane);
-      },
-      [&](std::vector<Object *> &G) { drainTraceLanes(Lanes, G, Work); });
-
+void Heap::watchQuantum(uint64_t Scanned, uint64_t BudgetBytes,
+                        std::optional<double> WallMs) {
   LastStats.TraceQuanta += 1;
   if (Scanned > LastStats.MaxQuantumTracedBytes)
     LastStats.MaxQuantumTracedBytes = Scanned;
 
-  if (MeasureWall) {
-    double WallMs = std::chrono::duration<double, std::milli>(
-                        std::chrono::steady_clock::now() - WallStart)
-                        .count();
+  // Wall time is quarantined observability (like every `wall.` metric):
+  // it never feeds the deterministic violation decision below.
+  if (WallMs) {
     telemetry::MetricsRegistry &Registry =
         telemetry::MetricsRegistry::global();
-    Registry.histogram("wall.runtime.quantum_pause_ms").record(WallMs);
+    Registry.histogram("wall.runtime.quantum_pause_ms").record(*WallMs);
     if (Config.QuantumDeadlineMillis > 0 &&
-        WallMs > Config.QuantumDeadlineMillis)
+        *WallMs > Config.QuantumDeadlineMillis)
       Registry.counter("wall.runtime.watchdog.deadline_overruns").add(1);
   }
 
@@ -423,7 +395,7 @@ uint64_t Heap::traceMarkSweepQuantum(AllocClock Boundary,
   }
   if (!Violated) {
     WatchdogConsecutive = 0;
-    return Scanned;
+    return;
   }
 
   LastStats.WatchdogViolations += 1;
@@ -452,7 +424,6 @@ uint64_t Heap::traceMarkSweepQuantum(AllocClock Boundary,
   }
   recordDegradation({DegradationKind::WatchdogDeadline, Clock, 0,
                      BudgetBytes, ResidentBytes, std::move(Detail)});
-  return Scanned;
 }
 
 void Heap::finishMarkSweepCycle(AllocClock Boundary, AllocClock BlackClock,
@@ -514,18 +485,22 @@ void Heap::finishMarkSweepCycle(AllocClock Boundary, AllocClock BlackClock,
 Heap::ScavengeWork Heap::runMarkSweep(AllocClock Boundary) {
   ScavengeWork Work;
   std::vector<Object *> Gray;
-  seedMarkSweepRoots(Boundary, Clock, Gray, Work);
+  const AllocClock BlackClock = Clock;
+  seedMarkSweepRoots(Boundary, BlackClock, Gray, Work);
 
   {
     profiling::ProfilePhase Phase(&Profiler, profiling::phase::Trace);
     uint64_t Before = Work.TracedBytes;
+    TraceLaneSet Lanes(tracePool());
+    auto Scan = [&](Object *O, TraceLane &Lane) {
+      scanMarkSweepObject(O, Boundary, BlackClock, Lane);
+    };
     while (!Gray.empty())
-      traceMarkSweepQuantum(Boundary, Clock, Gray, Config.ScavengeBudgetBytes,
-                            Work);
+      traceQuantum(Lanes, Gray, Scan, Work);
     Phase.addCost(Work.TracedBytes - Before);
   }
 
-  finishMarkSweepCycle(Boundary, Clock, Work);
+  finishMarkSweepCycle(Boundary, BlackClock, Work);
   return Work;
 }
 
@@ -603,8 +578,13 @@ bool Heap::incrementalScavengeStep() {
   {
     profiling::ProfilePhase Phase(&Profiler, profiling::phase::Trace);
     uint64_t Before = Inc.Work.TracedBytes;
-    traceMarkSweepQuantum(Inc.Boundary, Inc.BlackClock, Inc.Gray,
-                          Config.ScavengeBudgetBytes, Inc.Work);
+    TraceLaneSet Lanes(tracePool());
+    traceQuantum(
+        Lanes, Inc.Gray,
+        [&](Object *O, TraceLane &Lane) {
+          scanMarkSweepObject(O, Inc.Boundary, Inc.BlackClock, Lane);
+        },
+        Inc.Work);
     Phase.addCost(Inc.Work.TracedBytes - Before);
   }
   InCollection = false;

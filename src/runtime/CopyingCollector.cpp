@@ -166,18 +166,13 @@ Heap::ScavengeWork Heap::runCopying(AllocClock Boundary) {
   // Scan copies (and pinned survivors) for pointers into the threatened
   // region; such targets are themselves relocated and the slots fixed up.
   // Slots referencing immune objects are left alone — immune objects do
-  // not move. Runs as budget-bounded quanta of parallel rounds.
+  // not move. Runs as the same budgeted, deadline-watched quanta as the
+  // mark-sweep trace.
   {
     profiling::ProfilePhase Phase(&Profiler, profiling::phase::Promote);
     uint64_t Before = Work.TracedBytes;
-    while (!Gray.empty()) {
-      uint64_t Scanned = runTraceQuantum(
-          Lanes, Gray, Config.ScavengeBudgetBytes, scanForPromotion,
-          [&](std::vector<Object *> &G) { drainTraceLanes(Lanes, G, Work); });
-      LastStats.TraceQuanta += 1;
-      if (Scanned > LastStats.MaxQuantumTracedBytes)
-        LastStats.MaxQuantumTracedBytes = Scanned;
-    }
+    while (!Gray.empty())
+      traceQuantum(Lanes, Gray, scanForPromotion, Work);
     Phase.addCost(Work.TracedBytes - Before);
   }
 

@@ -35,8 +35,8 @@
 ///
 ///   unusable/inconsistent policy → FIXED1 fallback  (PolicyFallback)
 ///
-/// Events are queryable via Heap::degradationLog() (a bounded ring — see
-/// HeapConfig::DegradationLogLimit) and summarized by HeapDump.
+/// Events are queryable via Heap::degradationLog() (a bounded ring of the
+/// newest 1,024) and summarized by HeapDump.
 ///
 //===----------------------------------------------------------------------===//
 

@@ -6,12 +6,11 @@
 ///
 /// \file
 /// A bounded, lock-free ring of recent GC/safepoint/degradation events —
-/// the heap's black box. Unlike every other observability surface in the
-/// repo, the flight recorder is NOT compiled out under
-/// -DDTB_ENABLE_TELEMETRY=OFF: postmortems need it exactly when the full
-/// telemetry stack is absent, and its cost is a handful of relaxed atomic
-/// stores per *collection-rate* event (never on the allocation or store
-/// fast paths; BM_SafepointRendezvous bounds the rendezvous-path cost).
+/// the heap's black box. Unlike the telemetry recorder it is always on:
+/// postmortems need it exactly when nobody enabled the recorder, and its
+/// cost is a handful of relaxed atomic stores per *collection-rate* event
+/// (never on the allocation or store fast paths; BM_SafepointRendezvous
+/// bounds the rendezvous-path cost).
 ///
 /// Timestamps are deterministic allocation-clock values, so under
 /// single-threaded driving the ring's contents replay bit-identically.
@@ -61,22 +60,6 @@ enum class FlightEventKind : uint8_t {
   /// The heap verifier found problems. A = problem count.
   VerifierFailure,
 };
-
-inline const char *flightEventKindName(FlightEventKind Kind) {
-  switch (Kind) {
-  case FlightEventKind::ScavengeComplete:
-    return "scavenge";
-  case FlightEventKind::SafepointRendezvous:
-    return "safepoint-rendezvous";
-  case FlightEventKind::CycleBegin:
-    return "cycle-begin";
-  case FlightEventKind::Degradation:
-    return "degradation";
-  case FlightEventKind::VerifierFailure:
-    return "verifier-failure";
-  }
-  return "unknown";
-}
 
 /// One decoded ring entry (snapshot form).
 struct FlightEvent {

@@ -79,7 +79,7 @@ void Heap::recordDegradation(DegradationEvent Event) {
   DegradationKindTotals[static_cast<unsigned>(Event.Kind)] += 1;
   // The black box sees every rung (ladder entry, watchdog, pessimization)
   // and the first few trigger a postmortem dump of the retained tail —
-  // the flight recorder works even with telemetry compiled out.
+  // the flight recorder records whether or not telemetry is enabled.
   FlightRec.record(FlightEventKind::Degradation, Event.Time,
                    static_cast<uint64_t>(Event.Kind), Event.ResidentBytes);
   FlightRec.autoDump(flightDumpStream(), degradationKindName(Event.Kind));
@@ -102,9 +102,10 @@ void Heap::recordDegradation(DegradationEvent Event) {
     E.Args.push_back(telemetry::arg("resident_bytes", Event.ResidentBytes));
     telemetry::recorder().emit(std::move(E));
   }
+  // The log keeps the newest events; the totals above count every one.
+  constexpr size_t DegradationLogLimit = 1024;
   DegradationLog.push_back(std::move(Event));
-  while (Config.DegradationLogLimit != 0 &&
-         DegradationLog.size() > Config.DegradationLogLimit)
+  if (DegradationLog.size() > DegradationLogLimit)
     DegradationLog.pop_front();
 }
 
@@ -405,9 +406,8 @@ core::ScavengeRecord Heap::collect() {
   LastRule = Rule;
   LastNote = Note;
   PendingRule = std::move(Rule);
-  LastDecision = Decision;
-  LastDecisionValid = Request.Decision != nullptr;
-  PendingDecisionValid = LastDecisionValid;
+  PendingDecision = Decision;
+  PendingDecisionValid = Request.Decision != nullptr;
   core::ScavengeRecord Record = collectAtBoundary(Boundary);
   PendingRule.clear();
   PendingDecisionValid = false;
@@ -511,6 +511,7 @@ void Heap::releaseStorage(Object *O) {
 
 MutatorRuntimeStats Heap::mutatorStats() const {
   MutatorRuntimeStats Out = MutStats;
+  Out.TlabCarvedBytes = Out.TlabRefills * BlockBytes;
   Out.TlabBlocksResident =
       BlockSlots.size() - FreeBlockSlots.size() - heapBlocksResident();
   return Out;

@@ -59,6 +59,7 @@
 #include <functional>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -117,9 +118,6 @@ struct HeapConfig {
   /// set is rebuilt exactly during that full trace — the classic
   /// generational response to card-table/buffer exhaustion.
   size_t RemSetMaxEntries = 0;
-  /// Bound on retained DegradationEvent records (oldest are dropped
-  /// first; totalDegradationEvents() keeps the true count).
-  size_t DegradationLogLimit = 1024;
   /// When non-null, one human-readable line is written here per
   /// collection (a classic GC log). Not owned.
   std::FILE *LogStream = nullptr;
@@ -138,10 +136,10 @@ struct HeapConfig {
   /// quanta.
   uint64_t ScavengeBudgetBytes = 0;
   /// Per-quantum pause deadline in deterministic machine-model
-  /// milliseconds (core::MachineModel cost of the bytes a quantum
-  /// scanned; 0 disables the watchdog). A quantum whose model cost
-  /// exceeds the deadline is a violation: the effective scavenge budget
-  /// is halved (retry-halving backoff, floor 1 byte) and a
+  /// milliseconds (core::MachineModel cost of the bytes a quantum of
+  /// either collector scanned; 0 disables the watchdog). A quantum whose
+  /// model cost exceeds the deadline is a violation: the effective
+  /// scavenge budget is halved (retry-halving backoff, floor 1 byte) and a
   /// WatchdogDeadline degradation event is recorded. Wall time is
   /// observed only as quarantined `wall.` telemetry — violations and
   /// their responses are fully deterministic.
@@ -358,15 +356,14 @@ public:
     return LastRendezvous;
   }
 
-  /// Cumulative deterministic TTSP attribution across every rendezvous
-  /// (empty type under -DDTB_ENABLE_TELEMETRY=OFF).
+  /// Cumulative deterministic TTSP attribution across every rendezvous.
   const SafepointTtspStats &safepointTtspStats() const { return TtspStats; }
 
   /// The always-on flight recorder: a bounded ring of recent
-  /// GC/safepoint/degradation events, never compiled out (see
-  /// runtime/FlightRecorder.h). Mutable through a const heap — recording
-  /// is lock-free atomics and the verifier (which only sees const heaps)
-  /// must be able to leave a black-box trail.
+  /// GC/safepoint/degradation events, recorded whether or not telemetry
+  /// is enabled (see runtime/FlightRecorder.h). Mutable through a const
+  /// heap — recording is lock-free atomics and the verifier (which only
+  /// sees const heaps) must be able to leave a black-box trail.
   FlightRecorder &flightRecorder() const { return FlightRec; }
 
   /// Where automatic flight-recorder dumps go: the GC log stream when
@@ -435,20 +432,14 @@ public:
   profiling::PhaseProfiler &profiler() { return Profiler; }
   const profiling::PhaseProfiler &profiler() const { return Profiler; }
 
-  /// The decision explanation the policy filled during the most recent
-  /// collect() (inputs, candidate epoch, predictions). Only populated
-  /// while telemetry is enabled; check lastDecisionValid().
-  const core::BoundaryDecision &lastDecision() const { return LastDecision; }
-  bool lastDecisionValid() const { return LastDecisionValid; }
-
   const core::ScavengeHistory &history() const { return History; }
   const CollectionStats &lastCollectionStats() const { return LastStats; }
   const RememberedSet &rememberedSet() const { return RemSet; }
   const EpochDemographics &demographics() const { return Demographics; }
   const HeapConfig &config() const { return Config; }
 
-  /// The retained tail of the degradation ladder's event log (bounded by
-  /// HeapConfig::DegradationLogLimit; oldest events are dropped first).
+  /// The retained tail of the degradation ladder's event log (the newest
+  /// 1,024 events; oldest are dropped first).
   const std::deque<DegradationEvent> &degradationLog() const {
     return DegradationLog;
   }
@@ -647,12 +638,19 @@ private:
   /// Parallel scan body: claims \p O's threatened children into \p Lane.
   void scanMarkSweepObject(Object *O, core::AllocClock Boundary,
                            core::AllocClock BlackClock, TraceLane &Lane);
-  /// One budgeted quantum of the mark-sweep trace (0 = drain fully).
-  /// Returns gross bytes scanned and updates the quantum stats.
-  uint64_t traceMarkSweepQuantum(core::AllocClock Boundary,
-                                 core::AllocClock BlackClock,
-                                 std::vector<Object *> &Gray,
-                                 uint64_t BudgetBytes, ScavengeWork &Work);
+  /// One quantum of either collector's transitive scan: \p Scan runs over
+  /// \p Gray on the collection's \p Lanes under the scavenge budget (the
+  /// watchdog's backoff budget once it engaged; 0 = drain fully), and the
+  /// quantum is checked against the pause deadline. Returns gross bytes
+  /// scanned. Defined in runtime/TraceLanes.h.
+  template <typename ScanFn>
+  uint64_t traceQuantum(TraceLaneSet &Lanes, std::vector<Object *> &Gray,
+                        const ScanFn &Scan, ScavengeWork &Work);
+  /// traceQuantum's epilogue: the quantum stats, the quarantined wall
+  /// metrics (when \p WallMs was measured) and the pause-deadline
+  /// watchdog for a quantum that scanned \p Scanned under \p BudgetBytes.
+  void watchQuantum(uint64_t Scanned, uint64_t BudgetBytes,
+                    std::optional<double> WallMs);
   /// Weak-ref processing + sweep for a finished mark-sweep trace.
   void finishMarkSweepCycle(core::AllocClock Boundary,
                             core::AllocClock BlackClock, ScavengeWork &Work);
@@ -768,12 +766,10 @@ private:
   IncrementalState Inc;
   /// The pressure ladder closed the cycle; the embedder is not told yet.
   bool IncClosedByLadder = false;
-  /// Decision explanation from the most recent collect() (see
-  /// lastDecision()); valid only when LastDecisionValid.
-  core::BoundaryDecision LastDecision;
-  bool LastDecisionValid = false;
-  /// True while collectAtBoundary is running on behalf of collect(), i.e.
-  /// the pending rule/decision describe this scavenge.
+  /// Decision explanation the policy filled for the scavenge collect() is
+  /// about to run, for its TB instant; valid only when
+  /// PendingDecisionValid (collect() with telemetry enabled).
+  core::BoundaryDecision PendingDecision;
   bool PendingDecisionValid = false;
 
   /// The allocation clock and byte counters are atomics so registered
@@ -834,8 +830,7 @@ private:
   MutatorRuntimeStats MutStats;
   /// Most recent rendezvous snapshot (world-owner-exclusive writes).
   SafepointRendezvousRecord LastRendezvous;
-  /// Cumulative TTSP attribution (world-owner-exclusive writes; empty
-  /// under -DDTB_ENABLE_TELEMETRY=OFF).
+  /// Cumulative TTSP attribution (world-owner-exclusive writes).
   SafepointTtspStats TtspStats;
   /// Next MutatorContext::id() to hand out (registration is
   /// world-stopped, so a plain counter suffices).

@@ -175,13 +175,6 @@ void dtb::runtime::printDemographics(const HeapDemographics &Demo,
                  static_cast<unsigned long long>(Mut.BarrierFlushes));
     for (const HeapDemographics::MutatorRow &Row : Demo.Mutators) {
       const MutatorContext::Stats &S = Row.Stats;
-      uint64_t Wasted = 0, HighWater = 0, Polls = 0, Parks = 0;
-#if DTB_TELEMETRY
-      Wasted = S.Obs.TlabWastedBytes;
-      HighWater = S.Obs.BarrierHighWater;
-      Polls = S.Obs.SafepointPolls;
-      Parks = S.Obs.Parks;
-#endif
       std::fprintf(Out,
                    "  ctx %llu [%s]: %llu allocs / %llu bytes, %llu tlab "
                    "refills (%llu wasted), barrier %llu buffered (hw %llu) "
@@ -192,13 +185,13 @@ void dtb::runtime::printDemographics(const HeapDemographics &Demo,
                    static_cast<unsigned long long>(S.Allocations),
                    static_cast<unsigned long long>(S.AllocatedBytes),
                    static_cast<unsigned long long>(S.TlabRefills),
-                   static_cast<unsigned long long>(Wasted),
+                   static_cast<unsigned long long>(S.TlabWastedBytes),
                    static_cast<unsigned long long>(S.BarrierBufferedEntries),
-                   static_cast<unsigned long long>(HighWater),
+                   static_cast<unsigned long long>(S.BarrierHighWater),
                    static_cast<unsigned long long>(S.BarrierFlushes),
                    static_cast<unsigned long long>(S.SafepointYields),
-                   static_cast<unsigned long long>(Polls),
-                   static_cast<unsigned long long>(Parks),
+                   static_cast<unsigned long long>(S.SafepointPolls),
+                   static_cast<unsigned long long>(S.Parks),
                    static_cast<unsigned long long>(S.TriggeredCollections));
     }
     const SafepointRendezvousRecord &R = Demo.Rendezvous;

@@ -70,8 +70,7 @@ struct HeapDemographics {
   /// TLAB/safepoint counters.
   std::string Phase = "not-collecting";
   MutatorRuntimeStats MutatorStats;
-  /// One row per registered context, in registration order. Stats.Obs is
-  /// empty under -DDTB_ENABLE_TELEMETRY=OFF; the dump prints it as zeros.
+  /// One row per registered context, in registration order.
   struct MutatorRow {
     uint64_t Id = 0;
     MutatorState State = MutatorState::AtSafepoint;

@@ -194,7 +194,7 @@ VerifyResult dtb::runtime::verifyHeap(const Heap &H) {
   // A failed verification is a postmortem moment: stamp it into the
   // always-on flight recorder and dump the retained tail (throttled), so
   // the events leading up to the corruption are on record even when the
-  // full telemetry stack is compiled out.
+  // telemetry recorder is off.
   if (!Result.Ok) {
     H.flightRecorder().record(FlightEventKind::VerifierFailure, H.now(),
                               Result.Problems.size());

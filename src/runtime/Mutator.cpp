@@ -143,7 +143,6 @@ bool Heap::stopWorld(bool ForTrigger) {
     LastRendezvous = R;
     FlightRec.record(FlightEventKind::SafepointRendezvous, R.Time, N,
                      Pub.Bytes, R.StragglerContext);
-#if DTB_TELEMETRY
     TtspStats.TtspMillis.add(R.TtspMillis);
     TtspStats.PendingBytes.add(static_cast<double>(Pub.Bytes));
     switch (R.Straggler) {
@@ -159,7 +158,6 @@ bool Heap::stopWorld(bool ForTrigger) {
     case StragglerKind::None:
       break;
     }
-#endif
     if (telemetry::enabled()) {
       telemetry::MetricsRegistry &Registry =
           telemetry::MetricsRegistry::global();
@@ -236,13 +234,9 @@ Heap::PublicationSummary Heap::publishMutatorState() {
       return A->birth() < B->birth();
     };
     for (MutatorContext *Ctx : Mutators) {
-      uint64_t Added = Ctx->Pending.size();
-      Sum.Objects += Added;
+      Sum.Objects += Ctx->Pending.size();
       for (const Object *O : Ctx->Pending)
         Sum.Bytes += O->grossBytes();
-#if DTB_TELEMETRY
-      Ctx->S.Obs.PublishedObjects += Added;
-#endif
       const auto Run = static_cast<ptrdiff_t>(Objects.size());
       Objects.insert(Objects.end(), Ctx->Pending.begin(), Ctx->Pending.end());
       Ctx->Pending.clear();
@@ -283,12 +277,10 @@ Heap::PublicationSummary Heap::publishMutatorState() {
       E.Args.push_back(telemetry::arg("allocations", Ctx->S.Allocations));
       E.Args.push_back(
           telemetry::arg("barrier_flushes", Ctx->S.BarrierFlushes));
-#if DTB_TELEMETRY
-      E.Args.push_back(telemetry::arg("barrier_high_water",
-                                      Ctx->S.Obs.BarrierHighWater));
       E.Args.push_back(
-          telemetry::arg("tlab_waste_bytes", Ctx->S.Obs.TlabWastedBytes));
-#endif
+          telemetry::arg("barrier_high_water", Ctx->S.BarrierHighWater));
+      E.Args.push_back(
+          telemetry::arg("tlab_waste_bytes", Ctx->S.TlabWastedBytes));
       telemetry::recorder().emit(std::move(E));
     }
   }
@@ -374,25 +366,19 @@ void MutatorContext::yieldAtSafepoint() {
 }
 
 void MutatorContext::safepoint() {
-#if DTB_TELEMETRY
-  S.Obs.SafepointPolls += 1;
-#endif
+  S.SafepointPolls += 1;
   if (H.SafepointRequested.load(std::memory_order_seq_cst) &&
       !H.worldOwnedByThisThread())
     yieldAtSafepoint();
 }
 
 void MutatorContext::park() {
-#if DTB_TELEMETRY
-  S.Obs.Parks += 1;
-#endif
+  S.Parks += 1;
   State.store(MutatorState::Parked, std::memory_order_release);
 }
 
 void MutatorContext::unpark() {
-#if DTB_TELEMETRY
-  S.Obs.Unparks += 1;
-#endif
+  S.Unparks += 1;
   // If a rendezvous is open, honor the park contract — do not flip to
   // AtSafepoint until the world is released (both states are equally
   // invisible to the collector, but the caller's next op would block at
@@ -492,22 +478,17 @@ Object *MutatorContext::allocateInOp(uint32_t NumSlots, uint32_t RawBytes) {
   return O;
 }
 
-void MutatorContext::refillTlab(
-    [[maybe_unused]] const Heap::TlabBlock *Retiring) {
+void MutatorContext::refillTlab(const Heap::TlabBlock *Retiring) {
   // Runs under the heap's refill lock: the counters below are the
   // context-TLAB side of MutatorRuntimeStats, which the heap's own blocks
   // stay out of.
   H.MutStats.TlabRefills += 1;
-  H.MutStats.TlabCarvedBytes += Heap::BlockBytes;
   S.TlabRefills += 1;
-#if DTB_TELEMETRY
   // The tail the heap-level retire accounting calls waste, attributed
   // to the context that abandoned it.
   if (Retiring)
-    S.Obs.TlabWastedBytes +=
+    S.TlabWastedBytes +=
         static_cast<uint64_t>(Retiring->End - Retiring->Cursor);
-  S.Obs.TlabCarvedBytes += Heap::BlockBytes;
-#endif
   if (telemetry::enabled()) {
     static telemetry::Counter &Refills =
         telemetry::MetricsRegistry::global().counter("runtime.tlab.refills");
@@ -548,10 +529,8 @@ void MutatorContext::writeSlot(Object *Source, uint32_t SlotIndex,
       // Free-running phase: buffer locally, flush at capacity. The flush
       // is the only store-path step that takes a lock.
       BarrierBuffer.emplace_back(Source, SlotIndex);
-#if DTB_TELEMETRY
-      if (BarrierBuffer.size() > S.Obs.BarrierHighWater)
-        S.Obs.BarrierHighWater = BarrierBuffer.size();
-#endif
+      if (BarrierBuffer.size() > S.BarrierHighWater)
+        S.BarrierHighWater = BarrierBuffer.size();
       if (BarrierBuffer.size() >= BarrierFlushThreshold)
         flushBarrierBuffer(/*WorldStopped=*/false);
     } else {

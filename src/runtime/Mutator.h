@@ -138,26 +138,35 @@ public:
   size_t pendingAllocations() const { return Pending.size(); }
 
   /// Per-context counters (read from the owning thread or at a
-  /// safepoint).
+  /// safepoint). Derived figures are not stored: the bytes carved are
+  /// TlabRefills * Heap::BlockBytes, and the objects published so far are
+  /// Allocations - pendingAllocations().
   struct Stats {
     uint64_t Allocations = 0;
     uint64_t AllocatedBytes = 0;
     /// TLAB blocks this context carved (== refill-lock acquisitions for
     /// carving; the fast path takes none).
     uint64_t TlabRefills = 0;
+    /// Bytes discarded in this context's retired TLAB tails (carve
+    /// granularity waste attributable to this context).
+    uint64_t TlabWastedBytes = 0;
     /// Oversized allocations that bypassed the TLAB into dedicated
     /// storage.
     uint64_t HumongousAllocations = 0;
     uint64_t BarrierBufferedEntries = 0;
     uint64_t BarrierFlushes = 0;
+    /// Largest buffered barrier-entry count this context ever held (the
+    /// occupancy high-water mark; the flush threshold bounds it).
+    uint64_t BarrierHighWater = 0;
     /// Count-ins (or polls) that blocked on an open rendezvous.
     uint64_t SafepointYields = 0;
+    /// Explicit safepoint() polls issued.
+    uint64_t SafepointPolls = 0;
+    /// park() / unpark() transitions.
+    uint64_t Parks = 0;
+    uint64_t Unparks = 0;
     /// Trigger collections this context ran (a shared crossing counts once).
     uint64_t TriggeredCollections = 0;
-    /// Telemetry-gated observability extension (TLAB waste, barrier
-    /// high-water, poll/park counts; empty under
-    /// -DDTB_ENABLE_TELEMETRY=OFF — see runtime/Safepoint.h).
-    MutatorObservability Obs;
   };
   const Stats &stats() const { return S; }
 

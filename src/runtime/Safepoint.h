@@ -41,13 +41,17 @@
 /// MutatorContext::safepoint() so a count-in blocked on an open
 /// rendezvous is reached promptly.
 ///
+/// The records at the end of this file (the last rendezvous, the
+/// cumulative TTSP attribution, the heap-level runtime counters) are plain
+/// data the heap keeps current whether or not the telemetry recorder is
+/// enabled; the recorder only adds events and registry metrics on top.
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef DTB_RUNTIME_SAFEPOINT_H
 #define DTB_RUNTIME_SAFEPOINT_H
 
 #include "support/Statistics.h"
-#include "telemetry/Telemetry.h"
 
 #include <cstdint>
 
@@ -165,13 +169,12 @@ struct SafepointRendezvousRecord {
 };
 
 /// Cumulative deterministic TTSP attribution, snapshot via
-/// Heap::safepointTtspStats(). Compiled to an empty type (and never
-/// updated) under -DDTB_ENABLE_TELEMETRY=OFF; unlike the telemetry
-/// registry it accumulates whenever it is compiled in — like
+/// Heap::safepointTtspStats(). Unlike the telemetry registry it
+/// accumulates whether or not the recorder is enabled — like
 /// ScavengeHistory — so the bench driver can export exact percentiles
-/// without enabling the event recorder.
+/// without enabling the event recorder. It keeps two samples per
+/// rendezvous for the heap's whole life.
 struct SafepointTtspStats {
-#if DTB_TELEMETRY
   /// One deterministic TTSP sample per rendezvous.
   SampleSet TtspMillis;
   /// One pending-allocation-bytes sample per rendezvous.
@@ -180,33 +183,6 @@ struct SafepointTtspStats {
   uint64_t StragglerMidOp = 0;
   uint64_t StragglerParked = 0;
   uint64_t StragglerPolling = 0;
-#endif
-};
-
-/// Per-context observability counters, the DTB_TELEMETRY-gated extension
-/// of MutatorContext::Stats (embedded there as the `Obs` member).
-/// Compiled to an empty type under -DDTB_ENABLE_TELEMETRY=OFF and every
-/// update site is compiled out with it, so the OFF build's allocation and
-/// store fast paths are exactly the pre-observability ones.
-struct MutatorObservability {
-#if DTB_TELEMETRY
-  /// Gross bytes of every TLAB block this context carved.
-  uint64_t TlabCarvedBytes = 0;
-  /// Bytes discarded in this context's retired TLAB tails (carve
-  /// granularity waste attributable to this context).
-  uint64_t TlabWastedBytes = 0;
-  /// Largest buffered barrier-entry count this context ever held (the
-  /// occupancy high-water mark; the flush threshold bounds it).
-  uint64_t BarrierHighWater = 0;
-  /// Explicit safepoint() polls issued.
-  uint64_t SafepointPolls = 0;
-  /// park() / unpark() transitions.
-  uint64_t Parks = 0;
-  uint64_t Unparks = 0;
-  /// Objects this context published into the heap's birth-ordered
-  /// allocation list at safepoints.
-  uint64_t PublishedObjects = 0;
-#endif
 };
 
 /// Heap-level counters for the mutator runtime, snapshot via
@@ -218,7 +194,8 @@ struct MutatorRuntimeStats {
   uint64_t SafepointRendezvous = 0;
   /// TLAB blocks carved from the refill lock.
   uint64_t TlabRefills = 0;
-  /// Gross bytes of all blocks ever carved.
+  /// Gross bytes of all blocks ever carved, TlabRefills *
+  /// Heap::BlockBytes (filled by the snapshot, not counted).
   uint64_t TlabCarvedBytes = 0;
   /// Bytes left unused in retired blocks (carve granularity waste).
   uint64_t TlabWastedBytes = 0;

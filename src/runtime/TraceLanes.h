@@ -31,20 +31,29 @@
 /// fan-out over the heap's private pool, whose workers never run anything
 /// else, so fanning out is safe from any calling thread.
 ///
+/// Both collectors drive the engine through one quantum step,
+/// Heap::traceQuantum, defined at the end of this header: it applies the
+/// scavenge budget and the pause-deadline watchdog's backoff and serial
+/// fallback to the mark-sweep trace and the copying evacuation alike.
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef DTB_RUNTIME_TRACELANES_H
 #define DTB_RUNTIME_TRACELANES_H
 
+#include "runtime/Heap.h"
 #include "runtime/Object.h"
 #include "support/FaultInjector.h"
 #include "support/ThreadPool.h"
+#include "telemetry/Telemetry.h"
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <future>
 #include <mutex>
+#include <optional>
 #include <vector>
 
 namespace dtb {
@@ -267,6 +276,34 @@ uint64_t runTraceQuantum(TraceLaneSet &Lanes, std::vector<Object *> &Gray,
     }
   }
   Gray.erase(Gray.begin(), Gray.begin() + static_cast<ptrdiff_t>(Head));
+  return Scanned;
+}
+
+/// Declared in Heap.h; see the file comment.
+template <typename ScanFn>
+uint64_t Heap::traceQuantum(TraceLaneSet &Lanes, std::vector<Object *> &Gray,
+                            const ScanFn &Scan, ScavengeWork &Work) {
+  // The watchdog's retry-halving backoff overrides the configured budget
+  // for the remainder of this collection.
+  const uint64_t BudgetBytes = EffectiveBudgetBytes != 0
+                                   ? EffectiveBudgetBytes
+                                   : Config.ScavengeBudgetBytes;
+  if (WatchdogSerial)
+    Lanes.degradeAllRounds();
+
+  const bool MeasureWall = telemetry::enabled();
+  std::chrono::steady_clock::time_point WallStart;
+  if (MeasureWall)
+    WallStart = std::chrono::steady_clock::now();
+  uint64_t Scanned = runTraceQuantum(
+      Lanes, Gray, BudgetBytes, Scan,
+      [&](std::vector<Object *> &G) { drainTraceLanes(Lanes, G, Work); });
+  std::optional<double> WallMs;
+  if (MeasureWall)
+    WallMs = std::chrono::duration<double, std::milli>(
+                 std::chrono::steady_clock::now() - WallStart)
+                 .count();
+  watchQuantum(Scanned, BudgetBytes, WallMs);
   return Scanned;
 }
 

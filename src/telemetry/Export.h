@@ -22,8 +22,8 @@
 ///
 //===----------------------------------------------------------------------===//
 
-#ifndef DTB_TELEMETRY_EXPORT_H
-#define DTB_TELEMETRY_EXPORT_H
+#ifndef DTBGC_TELEMETRY_EXPORT_H
+#define DTBGC_TELEMETRY_EXPORT_H
 
 #include "support/Table.h"
 #include "telemetry/Telemetry.h"
@@ -78,4 +78,4 @@ std::string escapeJson(const std::string &Text);
 } // namespace telemetry
 } // namespace dtb
 
-#endif // DTB_TELEMETRY_EXPORT_H
+#endif // DTBGC_TELEMETRY_EXPORT_H

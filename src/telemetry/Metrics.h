@@ -21,8 +21,8 @@
 ///
 //===----------------------------------------------------------------------===//
 
-#ifndef DTB_TELEMETRY_METRICS_H
-#define DTB_TELEMETRY_METRICS_H
+#ifndef DTBGC_TELEMETRY_METRICS_H
+#define DTBGC_TELEMETRY_METRICS_H
 
 #include "support/Statistics.h"
 
@@ -145,4 +145,4 @@ private:
 } // namespace telemetry
 } // namespace dtb
 
-#endif // DTB_TELEMETRY_METRICS_H
+#endif // DTBGC_TELEMETRY_METRICS_H

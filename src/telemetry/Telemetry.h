@@ -22,15 +22,14 @@
 /// registry only, under a "wall." name prefix that exporters skip unless
 /// explicitly asked.
 ///
-/// Overhead: instrumentation sites guard on telemetry::enabled(), a single
-/// relaxed atomic load that folds to `false` at compile time when
-/// DTB_TELEMETRY is 0 (CMake -DDTB_ENABLE_TELEMETRY=OFF), letting the
-/// compiler delete the whole emission path.
+/// Overhead: telemetry is always compiled in. Instrumentation sites guard
+/// on telemetry::enabled(), a single relaxed atomic load, so a disabled
+/// recorder costs one load and a not-taken branch per site.
 ///
 //===----------------------------------------------------------------------===//
 
-#ifndef DTB_TELEMETRY_TELEMETRY_H
-#define DTB_TELEMETRY_TELEMETRY_H
+#ifndef DTBGC_TELEMETRY_TELEMETRY_H
+#define DTBGC_TELEMETRY_TELEMETRY_H
 
 #include "telemetry/Metrics.h"
 
@@ -40,10 +39,6 @@
 #include <mutex>
 #include <string>
 #include <vector>
-
-#ifndef DTB_TELEMETRY
-#define DTB_TELEMETRY 1
-#endif
 
 namespace dtb {
 namespace telemetry {
@@ -160,18 +155,10 @@ extern std::atomic<bool> RecorderEnabled;
 } // namespace detail
 
 /// Whether any telemetry should be recorded right now. Instrumentation
-/// sites guard on this; when compiled out it is constant false and the
-/// guarded code is dead.
+/// sites guard on this.
 inline bool enabled() {
-#if DTB_TELEMETRY
   return detail::RecorderEnabled.load(std::memory_order_relaxed);
-#else
-  return false;
-#endif
 }
-
-/// True when the library was compiled with telemetry support.
-constexpr bool compiledIn() { return DTB_TELEMETRY != 0; }
 
 /// A small dense id for the calling thread (0 for the first thread that
 /// asks, then 1, 2, ...). Stable for the thread's lifetime.
@@ -202,4 +189,4 @@ private:
 } // namespace telemetry
 } // namespace dtb
 
-#endif // DTB_TELEMETRY_TELEMETRY_H
+#endif // DTBGC_TELEMETRY_TELEMETRY_H

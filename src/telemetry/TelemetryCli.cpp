@@ -42,12 +42,6 @@ TelemetrySession::TelemetrySession(TelemetryOptions InOptions)
     Valid = false;
     return;
   }
-  if (!compiledIn()) {
-    std::fprintf(stderr, "warning: telemetry compiled out "
-                         "(DTB_ENABLE_TELEMETRY=OFF); --telemetry-out "
-                         "ignored\n");
-    return;
-  }
   recorder().setWallClockExport(Options.WallClock);
   recorder().enable();
   Active = true;

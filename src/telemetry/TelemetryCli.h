@@ -19,8 +19,8 @@
 ///
 //===----------------------------------------------------------------------===//
 
-#ifndef DTB_TELEMETRY_TELEMETRYCLI_H
-#define DTB_TELEMETRY_TELEMETRYCLI_H
+#ifndef DTBGC_TELEMETRY_TELEMETRYCLI_H
+#define DTBGC_TELEMETRY_TELEMETRYCLI_H
 
 #include <string>
 
@@ -42,7 +42,7 @@ void addTelemetryOptions(OptionParser &Parser, TelemetryOptions *Options);
 
 /// Enables the global recorder per \p Options for one scope and exports on
 /// destruction ("-" writes to stdout). Inactive (and free) when OutPath is
-/// empty or telemetry is compiled out.
+/// empty.
 class TelemetrySession {
 public:
   explicit TelemetrySession(TelemetryOptions Options);
@@ -65,4 +65,4 @@ private:
 } // namespace telemetry
 } // namespace dtb
 
-#endif // DTB_TELEMETRY_TELEMETRYCLI_H
+#endif // DTBGC_TELEMETRY_TELEMETRYCLI_H

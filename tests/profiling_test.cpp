@@ -4,8 +4,7 @@
 // to self vs. total correctly (self excludes children, total includes
 // them), the per-scavenge tree records the nesting, disabled profilers are
 // no-ops, merges fold deterministically, and the runtime heap reports
-// through the shared taxonomy. With telemetry compiled out every test
-// degenerates to checking the profiler stays empty.
+// through the shared taxonomy.
 //
 //===----------------------------------------------------------------------===//
 
@@ -18,17 +17,6 @@
 
 using namespace dtb;
 using namespace dtb::profiling;
-
-#if !DTB_TELEMETRY
-// "Exactly zero overhead when compiled out" is a structural property, not
-// a measurement: with -DDTB_ENABLE_TELEMETRY=OFF both types are empty and
-// every method is an inline no-op, so instrumentation sites carry no state
-// and no code.
-static_assert(sizeof(PhaseProfiler) == 1,
-              "PhaseProfiler must be stateless when telemetry is off");
-static_assert(sizeof(ProfilePhase) == 1,
-              "ProfilePhase must be an empty type when telemetry is off");
-#endif
 
 namespace {
 
@@ -62,13 +50,6 @@ const PhaseAggregate &aggregate(const PhaseProfiler &Profiler,
 TEST(PhaseProfilerTest, SelfVsTotalAccounting) {
   PhaseProfiler Profiler;
   Profiler.setEnabled(true);
-  if (!compiledIn()) {
-    // Compiled out: the scopes must be inert and the aggregates empty.
-    recordSyntheticScavenge(Profiler);
-    EXPECT_FALSE(Profiler.active());
-    EXPECT_TRUE(Profiler.aggregates().empty());
-    return;
-  }
   ASSERT_TRUE(Profiler.active());
   recordSyntheticScavenge(Profiler);
 
@@ -99,10 +80,6 @@ TEST(PhaseProfilerTest, TreeRecordsNesting) {
   PhaseProfiler Profiler;
   Profiler.setEnabled(true);
   recordSyntheticScavenge(Profiler);
-  if (!compiledIn()) {
-    EXPECT_TRUE(Profiler.lastTree().empty());
-    return;
-  }
 
   // Pre-order: trace, remset_scan, promote, sweep.
   const std::vector<PhaseTreeNode> &Tree = Profiler.lastTree();
@@ -142,8 +119,6 @@ TEST(PhaseProfilerTest, DisabledProfilerIsInert) {
 }
 
 TEST(PhaseProfilerTest, ScopeArmedAtConstructionOnly) {
-  if (!compiledIn())
-    GTEST_SKIP() << "telemetry compiled out";
   PhaseProfiler Profiler;
   {
     // The scope opens while disabled, so enabling mid-scope must not
@@ -158,8 +133,6 @@ TEST(PhaseProfilerTest, ScopeArmedAtConstructionOnly) {
 }
 
 TEST(PhaseProfilerTest, MergeFoldsAggregates) {
-  if (!compiledIn())
-    GTEST_SKIP() << "telemetry compiled out";
   PhaseProfiler A, B;
   A.setEnabled(true);
   B.setEnabled(true);
@@ -185,10 +158,6 @@ TEST(PhaseProfilerTest, CostAttributionTableRanksBySelfCost) {
   recordSyntheticScavenge(Profiler);
   Table Full = buildCostAttributionTable(Profiler);
   Table Top1 = buildCostAttributionTable(Profiler, 1);
-  if (!compiledIn()) {
-    EXPECT_EQ(Full.numRows(), 0u);
-    return;
-  }
   EXPECT_EQ(Full.numRows(), 4u);
   EXPECT_EQ(Top1.numRows(), 1u);
   EXPECT_EQ(Full.numColumns(), 9u);
@@ -207,10 +176,6 @@ TEST(PhaseProfilerTest, HeapReportsSharedTaxonomy) {
   report::GhostMutator Mutator(H, Scope, /*Seed=*/0x61057);
   Mutator.run(200'000);
 
-  if (!compiledIn()) {
-    EXPECT_TRUE(H.profiler().aggregates().empty());
-    return;
-  }
   ASSERT_GT(H.history().size(), 0u);
   const auto &Aggregates = H.profiler().aggregates();
   // Every scavenge records a policy decision and the collection phases.

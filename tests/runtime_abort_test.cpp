@@ -348,38 +348,45 @@ TEST(AbortTest, MidCyclePressureAbortsCycleWithDeepGrayBacklog) {
 }
 
 TEST(WatchdogTest, ViolationsBackOffBudgetWithoutChangingRecords) {
-  // Reference: budgeted collection, no deadline.
-  HeapConfig Config = manualConfig();
-  Config.ScavengeBudgetBytes = 500;
-  core::ScavengeRecord Reference;
-  uint64_t ReferenceQuanta = 0;
-  {
-    Heap R(Config);
-    HandleScope Scope(R);
-    buildWorkload(R, Scope);
-    Reference = R.collectAtBoundary(0);
-    ReferenceQuanta = R.lastCollectionStats().TraceQuanta;
-    EXPECT_EQ(R.lastCollectionStats().WatchdogViolations, 0u);
+  // Both collectors run their transitive scan in the same watched quanta:
+  // the mark-sweep trace and the copying evacuation.
+  for (CollectorKind Kind :
+       {CollectorKind::MarkSweep, CollectorKind::Copying}) {
+    SCOPED_TRACE(Kind == CollectorKind::MarkSweep ? "mark-sweep" : "copying");
+    // Reference: budgeted collection, no deadline.
+    HeapConfig Config = manualConfig();
+    Config.Collector = Kind;
+    Config.ScavengeBudgetBytes = 500;
+    core::ScavengeRecord Reference;
+    uint64_t ReferenceQuanta = 0;
+    {
+      Heap R(Config);
+      HandleScope Scope(R);
+      buildWorkload(R, Scope);
+      Reference = R.collectAtBoundary(0);
+      ReferenceQuanta = R.lastCollectionStats().TraceQuanta;
+      EXPECT_EQ(R.lastCollectionStats().WatchdogViolations, 0u);
+    }
+    ASSERT_GT(ReferenceQuanta, 1u);
+
+    // Watchdog heap: a deadline below any quantum's machine-model cost, so
+    // every quantum violates and the budget keeps halving. Slicing
+    // changes; the exported record must not.
+    HeapConfig Strict = Config;
+    Strict.QuantumDeadlineMillis =
+        core::MachineModel().pauseMillisForTracedBytes(32);
+    Heap W(Strict);
+    HandleScope Scope(W);
+    buildWorkload(W, Scope);
+    expectSameRecord(Reference, W.collectAtBoundary(0));
+
+    const CollectionStats &Stats = W.lastCollectionStats();
+    EXPECT_GT(Stats.WatchdogViolations, 0u);
+    EXPECT_GT(Stats.TraceQuanta, ReferenceQuanta);
+    EXPECT_EQ(eventsOf(W, DegradationKind::WatchdogDeadline),
+              Stats.WatchdogViolations);
+    expectVerifies(W);
   }
-  ASSERT_GT(ReferenceQuanta, 1u);
-
-  // Watchdog heap: a deadline below any quantum's machine-model cost, so
-  // every quantum violates and the budget keeps halving. Slicing changes;
-  // the exported record must not.
-  HeapConfig Strict = Config;
-  Strict.QuantumDeadlineMillis =
-      core::MachineModel().pauseMillisForTracedBytes(32);
-  Heap W(Strict);
-  HandleScope Scope(W);
-  buildWorkload(W, Scope);
-  expectSameRecord(Reference, W.collectAtBoundary(0));
-
-  const CollectionStats &Stats = W.lastCollectionStats();
-  EXPECT_GT(Stats.WatchdogViolations, 0u);
-  EXPECT_GT(Stats.TraceQuanta, ReferenceQuanta);
-  EXPECT_EQ(eventsOf(W, DegradationKind::WatchdogDeadline),
-            Stats.WatchdogViolations);
-  expectVerifies(W);
 }
 
 TEST(WatchdogTest, ConsecutiveViolationsDegradeToSerialTracing) {

@@ -71,8 +71,8 @@ TEST(TlabTest, CarveRefillRetireInvariants) {
     EXPECT_EQ(Ctx.stats().HumongousAllocations, 0u);
 
     // Blocks are disjoint and sorted; with nothing freed yet the carved
-    // byte counter is exactly the sum of the resident ranges — no byte
-    // lost, no byte double-carved.
+    // bytes (one block per refill) are exactly the sum of the resident
+    // ranges — no byte lost, no byte double-carved.
     std::vector<std::pair<const void *, const void *>> Ranges =
         H.tlabBlockRanges();
     ASSERT_EQ(Ranges.size(), Stats.TlabBlocksResident);
@@ -87,6 +87,7 @@ TEST(TlabTest, CarveRefillRetireInvariants) {
             << "TLAB blocks overlap";
       }
     }
+    EXPECT_EQ(Stats.TlabCarvedBytes, Stats.TlabRefills * Heap::BlockBytes);
     EXPECT_EQ(RangeBytes, Stats.TlabCarvedBytes);
     EXPECT_LE(Stats.TlabWastedBytes, Stats.TlabCarvedBytes);
 
@@ -534,4 +535,10 @@ TEST(PublicationTest, InterleavedContextsMergeInBirthOrder) {
       [&](Heap &Stopped) { expectVerified(Stopped, "two-context publish"); });
   EXPECT_EQ(H.residentObjects(), 200u);
   EXPECT_EQ(H.mutatorStats().PublishedObjects, 200u);
+  // Per context, the objects published are Allocations minus those still
+  // pending: here all of each context's 100.
+  for (const MutatorContext *Ctx : {&A, &B}) {
+    EXPECT_EQ(Ctx->stats().Allocations, 100u);
+    EXPECT_EQ(Ctx->pendingAllocations(), 0u);
+  }
 }

@@ -25,18 +25,6 @@
 using namespace dtb;
 using namespace dtb::runtime;
 
-// The per-context counters and TTSP aggregates must dead-code away with
-// the telemetry stack: empty types, so MutatorContext::Stats and the
-// heap's aggregate block carry zero bytes of observability state in a
-// -DDTB_ENABLE_TELEMETRY=OFF build. (The flight recorder deliberately
-// stays — it is the OFF build's only postmortem surface.)
-#if !DTB_TELEMETRY
-static_assert(sizeof(MutatorObservability) == 1,
-              "per-context observability counters must compile out");
-static_assert(sizeof(SafepointTtspStats) == 1,
-              "TTSP aggregates must compile out");
-#endif
-
 namespace {
 
 HeapConfig manualConfig() {
@@ -157,12 +145,10 @@ TEST(ObservabilityTest, RendezvousRecordAttributesTtspToPendingBytes) {
       Found = true;
   EXPECT_TRUE(Found);
 
-#if DTB_TELEMETRY
   const SafepointTtspStats &Stats = H.safepointTtspStats();
   ASSERT_FALSE(Stats.TtspMillis.empty());
   EXPECT_DOUBLE_EQ(Stats.TtspMillis.samples().back(), R.TtspMillis);
   EXPECT_GT(Stats.StragglerPolling, 0u);
-#endif
 }
 
 TEST(ObservabilityTest, ParkedStragglerIsAttributedAsParked) {
@@ -176,11 +162,9 @@ TEST(ObservabilityTest, ParkedStragglerIsAttributedAsParked) {
   EXPECT_EQ(R.StragglerContext, Sleeper.id());
   EXPECT_EQ(stragglerKindName(R.Straggler), std::string("parked"));
   Sleeper.unpark();
-#if DTB_TELEMETRY
   EXPECT_GT(H.safepointTtspStats().StragglerParked, 0u);
-  EXPECT_EQ(Sleeper.stats().Obs.Parks, 1u);
-  EXPECT_EQ(Sleeper.stats().Obs.Unparks, 1u);
-#endif
+  EXPECT_EQ(Sleeper.stats().Parks, 1u);
+  EXPECT_EQ(Sleeper.stats().Unparks, 1u);
 }
 
 TEST(ObservabilityTest, PerContextCountersTrackTheWorkload) {
@@ -202,13 +186,16 @@ TEST(ObservabilityTest, PerContextCountersTrackTheWorkload) {
   EXPECT_GT(S.AllocatedBytes, 0u);
   EXPECT_GE(S.TlabRefills, 1u);
   EXPECT_GE(S.BarrierFlushes, 1u);
-#if DTB_TELEMETRY
-  EXPECT_EQ(S.Obs.SafepointPolls, 100u);
-  EXPECT_GE(S.Obs.TlabCarvedBytes, S.AllocatedBytes);
-  EXPECT_GT(S.Obs.BarrierHighWater, 0u);
-  EXPECT_LE(S.Obs.BarrierHighWater, 64u); // Flush threshold bounds it.
-  EXPECT_EQ(S.Obs.PublishedObjects, S.Allocations);
-#endif
+  EXPECT_EQ(S.SafepointPolls, 100u);
+  EXPECT_GT(S.BarrierHighWater, 0u);
+  EXPECT_LE(S.BarrierHighWater, 64u); // Flush threshold bounds it.
+  // The derived figures: the bytes carved cover every allocation, and the
+  // rendezvous above published all of them.
+  EXPECT_GE(S.TlabRefills * Heap::BlockBytes, S.AllocatedBytes);
+  EXPECT_EQ(Ctx.pendingAllocations(), 0u);
+  EXPECT_EQ(H.mutatorStats().PublishedObjects, S.Allocations);
+  EXPECT_EQ(H.mutatorStats().TlabCarvedBytes,
+            H.mutatorStats().TlabRefills * Heap::BlockBytes);
 }
 
 //===----------------------------------------------------------------------===//
@@ -218,14 +205,13 @@ TEST(ObservabilityTest, PerContextCountersTrackTheWorkload) {
 namespace {
 
 /// Fixed-seed 4-context round-robin workload, one thread — the test-side
-/// replica of the bench driver's observability stage recipe.
+/// replica of the bench driver's mutator-counters stage recipe.
 struct WorkloadOutcome {
   std::vector<MutatorContext::Stats> Stats;
+  std::vector<size_t> Pending;
   SafepointRendezvousRecord LastRendezvous;
   std::vector<FlightEvent> Flight;
-#if DTB_TELEMETRY
   std::vector<double> TtspSamples;
-#endif
 };
 
 WorkloadOutcome runFixedSeedWorkload() {
@@ -258,13 +244,13 @@ WorkloadOutcome runFixedSeedWorkload() {
   H.collectAtBoundary(0);
 
   WorkloadOutcome Out;
-  for (const auto &Ctx : Ctxs)
+  for (const auto &Ctx : Ctxs) {
     Out.Stats.push_back(Ctx->stats());
+    Out.Pending.push_back(Ctx->pendingAllocations());
+  }
   Out.LastRendezvous = H.lastSafepointRendezvous();
   Out.Flight = H.flightRecorder().snapshot();
-#if DTB_TELEMETRY
   Out.TtspSamples = H.safepointTtspStats().TtspMillis.samples();
-#endif
   return Out;
 }
 
@@ -286,18 +272,11 @@ TEST(ObservabilityTest, FixedSeedWorkloadExportsBitIdenticalMetrics) {
     EXPECT_EQ(X.BarrierFlushes, Y.BarrierFlushes) << "context " << I;
     EXPECT_EQ(X.TriggeredCollections, Y.TriggeredCollections)
         << "context " << I;
-#if DTB_TELEMETRY
-    EXPECT_EQ(X.Obs.TlabCarvedBytes, Y.Obs.TlabCarvedBytes)
-        << "context " << I;
-    EXPECT_EQ(X.Obs.TlabWastedBytes, Y.Obs.TlabWastedBytes)
-        << "context " << I;
-    EXPECT_EQ(X.Obs.BarrierHighWater, Y.Obs.BarrierHighWater)
-        << "context " << I;
-    EXPECT_EQ(X.Obs.SafepointPolls, Y.Obs.SafepointPolls)
-        << "context " << I;
-    EXPECT_EQ(X.Obs.PublishedObjects, Y.Obs.PublishedObjects)
-        << "context " << I;
-#endif
+    EXPECT_EQ(X.TlabWastedBytes, Y.TlabWastedBytes) << "context " << I;
+    EXPECT_EQ(X.BarrierHighWater, Y.BarrierHighWater) << "context " << I;
+    EXPECT_EQ(X.SafepointPolls, Y.SafepointPolls) << "context " << I;
+    // Objects published so far: Allocations - pendingAllocations().
+    EXPECT_EQ(A.Pending[I], B.Pending[I]) << "context " << I;
   }
 
   EXPECT_EQ(A.LastRendezvous.Serial, B.LastRendezvous.Serial);
@@ -320,11 +299,9 @@ TEST(ObservabilityTest, FixedSeedWorkloadExportsBitIdenticalMetrics) {
   }
   EXPECT_GT(A.LastRendezvous.Serial, 1u); // The workload actually stopped.
 
-#if DTB_TELEMETRY
   ASSERT_EQ(A.TtspSamples.size(), B.TtspSamples.size());
   for (size_t I = 0; I != A.TtspSamples.size(); ++I)
     EXPECT_DOUBLE_EQ(A.TtspSamples[I], B.TtspSamples[I]);
-#endif
 }
 
 //===----------------------------------------------------------------------===//

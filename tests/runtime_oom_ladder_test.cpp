@@ -262,7 +262,6 @@ TEST(OomLadderTest, PolicyEvaluationFaultFallsBackToFixed1) {
 TEST(OomLadderTest, DegradationLogIsBoundedButTotalIsNot) {
   HeapConfig Config;
   Config.TriggerBytes = 0;
-  Config.DegradationLogLimit = 4;
   Heap H(Config);
   H.setPolicy(fixed1());
 
@@ -270,18 +269,32 @@ TEST(OomLadderTest, DegradationLogIsBoundedButTotalIsNot) {
   Injector.setProbability(FaultSite::Allocation, 1.0);
   FaultInjectionScope FaultScope(Injector);
 
+  // Every allocation is denied once and recovered by the ladder's first
+  // rung: one emergency scavenge, stamped with the clock before the
+  // allocation, so event I carries time I * Gross. 1,100 of them overflow
+  // the log's bound of 1,024.
+  constexpr uint64_t Allocations = 1'100;
+  constexpr uint64_t LogLimit = 1'024;
+  const uint64_t Gross = Object::grossBytesFor(0, 64);
   HandleScope Scope(H);
-  for (int I = 0; I != 7; ++I)
+  for (uint64_t I = 0; I != Allocations; ++I)
     ASSERT_NE(H.tryAllocate(0, 64), nullptr);
 
-  // Every allocation was denied once and recovered via the ladder; only
-  // the newest four events are retained.
-  EXPECT_EQ(H.degradationLog().size(), 4u);
-  EXPECT_GE(H.totalDegradationEvents(), 7u);
-  for (const DegradationEvent &Event : H.degradationLog())
-    EXPECT_FALSE(describeDegradation(Event).empty());
+  // The counts stay exact; only the newest events are retained, in order.
+  EXPECT_EQ(H.totalDegradationEvents(), Allocations);
+  EXPECT_EQ(H.degradationEventsOfKind(DegradationKind::EmergencyScavenge),
+            Allocations);
+  const std::deque<DegradationEvent> &Log = H.degradationLog();
+  ASSERT_EQ(Log.size(), LogLimit);
+  for (uint64_t I = 0; I != LogLimit; ++I) {
+    EXPECT_EQ(Log[I].Kind, DegradationKind::EmergencyScavenge);
+    EXPECT_EQ(Log[I].Time, (Allocations - LogLimit + I) * Gross) << I;
+    EXPECT_FALSE(describeDegradation(Log[I]).empty());
+  }
 
   H.clearDegradationLog();
   EXPECT_EQ(H.degradationLog().size(), 0u);
   EXPECT_EQ(H.totalDegradationEvents(), 0u);
+  EXPECT_EQ(H.degradationEventsOfKind(DegradationKind::EmergencyScavenge),
+            0u);
 }

@@ -4,8 +4,9 @@
 //
 // Telemetry wired through the real pipelines: the experiment grid's event
 // stream is bit-identical across worker-thread counts, the per-scavenge
-// pause spans reproduce the Table 3 quantiles exactly, and the managed
-// heap emits scavenge spans, TB instants, and degradation instants.
+// pause spans reproduce the Table 3 quantiles exactly, the managed heap
+// emits scavenge spans, TB instants, and degradation instants, and with
+// the recorder off none of them records anything.
 //
 //===----------------------------------------------------------------------===//
 
@@ -15,6 +16,8 @@
 #include "core/Policies.h"
 #include "report/Experiments.h"
 #include "runtime/Heap.h"
+#include "runtime/Mutator.h"
+#include "support/FaultInjector.h"
 #include "support/Statistics.h"
 #include "workload/Workload.h"
 
@@ -73,8 +76,6 @@ std::string runGridAndExport(unsigned Threads) {
 }
 
 TEST(TelemetryIntegration, GridExportBitIdenticalAcrossThreadCounts) {
-  if (!tel::compiledIn())
-    GTEST_SKIP() << "telemetry compiled out";
   std::string Serial = runGridAndExport(1);
   std::string Parallel = runGridAndExport(4);
   EXPECT_FALSE(Serial.empty());
@@ -82,8 +83,6 @@ TEST(TelemetryIntegration, GridExportBitIdenticalAcrossThreadCounts) {
 }
 
 TEST(TelemetryIntegration, PauseSpansReproduceTable3QuantilesExactly) {
-  if (!tel::compiledIn())
-    GTEST_SKIP() << "telemetry compiled out";
   tel::recorder().enable();
   tel::MetricsRegistry::global().reset();
   ExperimentGrid Grid(testWorkloads(), TestPolicies, smallConfig(1));
@@ -112,8 +111,6 @@ TEST(TelemetryIntegration, PauseSpansReproduceTable3QuantilesExactly) {
 }
 
 TEST(TelemetryIntegration, GridEmitsTbInstantsAndRuleArgs) {
-  if (!tel::compiledIn())
-    GTEST_SKIP() << "telemetry compiled out";
   tel::recorder().enable();
   tel::MetricsRegistry::global().reset();
   ExperimentGrid Grid(testWorkloads(), {"dtbfm"}, smallConfig(1));
@@ -150,8 +147,6 @@ TEST(TelemetryIntegration, GridEmitsTbInstantsAndRuleArgs) {
 }
 
 TEST(TelemetryIntegration, HeapEmitsScavengeSpansAndDegradationInstants) {
-  if (!tel::compiledIn())
-    GTEST_SKIP() << "telemetry compiled out";
   tel::recorder().enable();
   tel::MetricsRegistry::global().reset();
   {
@@ -197,16 +192,61 @@ TEST(TelemetryIntegration, HeapEmitsScavengeSpansAndDegradationInstants) {
   EXPECT_EQ(DegradationCounted, Degradations);
 }
 
+/// Every instrument in the global registry, rendered for comparison.
+std::string registryState() {
+  std::string Out;
+  for (const tel::MetricSample &M : tel::MetricsRegistry::global().snapshot()) {
+    char Line[256];
+    std::snprintf(Line, sizeof(Line), " %.17g %llu %.17g %.17g %.17g\n",
+                  M.Value, static_cast<unsigned long long>(M.Count), M.Sum,
+                  M.Min, M.Max);
+    Out += M.Name + Line;
+  }
+  return Out;
+}
+
 TEST(TelemetryIntegration, SilentWithoutTrackOrWhenDisabled) {
-  // A grid run with the recorder disabled leaves the buffer empty; a
-  // direct simulate() with no TelemetryTrack emits nothing even when the
-  // recorder is live.
+  // With the recorder disabled, a grid run and a runtime heap leave the
+  // event buffer empty and the registry as it was; a direct simulate()
+  // with no TelemetryTrack emits nothing even when the recorder is live.
   tel::recorder().disable();
   tel::recorder().buffer().clear();
+  const std::string RegistryBefore = registryState();
   ExperimentGrid Grid(testWorkloads(), {"full"}, smallConfig(1));
   EXPECT_EQ(tel::recorder().buffer().size(), 0u);
-  if (!tel::compiledIn())
-    return;
+  {
+    // Every instrumented runtime path, directly and through a context:
+    // allocations past a TLAB refill, forward stores, collections with a
+    // safepoint rendezvous, and an injected policy-evaluation fault.
+    HeapConfig Config;
+    Config.TriggerBytes = 0;
+    Heap H(Config);
+    H.setPolicy(core::createPolicy("full", core::PolicyConfig()));
+    HandleScope Scope(H);
+    MutatorContext Ctx(H);
+    Object *&Old = Scope.slot(H.allocate(1));
+    size_t CtxOld = Ctx.allocateRooted(1);
+    for (int I = 0; I != 2'000; ++I) {
+      H.allocate(0, 32);
+      Ctx.allocate(0, 32);
+    }
+    ASSERT_GT(Ctx.stats().TlabRefills, 1u);
+    H.writeSlot(Old, 0, H.allocate(0));
+    Ctx.writeSlot(Ctx.root(CtxOld), 0, Ctx.allocate(0));
+    ASSERT_GT(Ctx.stats().BarrierBufferedEntries, 0u);
+    H.collect();
+    FaultInjector Injector(/*Seed=*/1);
+    Injector.armOneShot(FaultSite::PolicyEvaluation, 1);
+    {
+      FaultInjectionScope FaultScope(Injector);
+      H.collect();
+    }
+    EXPECT_EQ(H.degradationEventsOfKind(DegradationKind::PolicyFallback), 1u);
+    EXPECT_EQ(H.history().size(), 2u);
+  }
+  EXPECT_EQ(tel::recorder().buffer().size(), 0u);
+  EXPECT_EQ(registryState(), RegistryBefore);
+
   tel::recorder().enable();
   workload::WorkloadSpec Spec = testWorkloads()[0];
   trace::Trace T = workload::generateTrace(Spec);

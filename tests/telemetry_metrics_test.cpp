@@ -131,8 +131,6 @@ TEST(Recorder, DisabledRecorderDropsEvents) {
 }
 
 TEST(Recorder, EnableClearsAndRecords) {
-  if (!tel::compiledIn())
-    GTEST_SKIP() << "telemetry compiled out";
   tel::Recorder &R = tel::recorder();
   R.enable();
   EXPECT_TRUE(tel::enabled());
@@ -146,8 +144,6 @@ TEST(Recorder, EnableClearsAndRecords) {
 }
 
 TEST(Recorder, SortedOrderIsTrackThenIndexThenSeq) {
-  if (!tel::compiledIn())
-    GTEST_SKIP() << "telemetry compiled out";
   tel::Recorder &R = tel::recorder();
   R.enable();
   auto emit = [&](const char *Track, uint64_t Index, const char *Name) {
@@ -181,8 +177,6 @@ TEST(TelemetrySpan, RecordsWallHistogramOnlyWhenEnabled) {
   EXPECT_EQ(
       tel::MetricsRegistry::global().histogram("wall.span_probe_ns").count(),
       Before);
-  if (!tel::compiledIn())
-    return;
   R.enable();
   { tel::TelemetrySpan Span("span_probe"); }
   EXPECT_EQ(
