@@ -45,13 +45,12 @@ core::ScavengeRecord Heap::collectAtBoundary(AllocClock Boundary) {
     finishIncrementalScavenge();
   bool RebuildRemSet = false;
   Boundary = openCollection(Boundary, RebuildRemSet);
-  uint64_t MemBefore = ResidentBytes;
 
   ScavengeWork Work = Config.Collector == CollectorKind::MarkSweep
                           ? runMarkSweep(Boundary)
                           : runCopying(Boundary);
 
-  return completeCollection(Boundary, Work, MemBefore, RebuildRemSet);
+  return completeCollection(Boundary, Work, RebuildRemSet);
 }
 
 AllocClock Heap::openCollection(AllocClock Boundary, bool &RebuildRemSet) {
@@ -64,7 +63,7 @@ AllocClock Heap::openCollection(AllocClock Boundary, bool &RebuildRemSet) {
   RebuildRemSet = RemSetPessimized;
   if (RebuildRemSet && Boundary != 0) {
     recordDegradation({DegradationKind::BoundaryPessimized, Clock, 0, 0,
-                       ResidentBytes,
+                       residentBytes(),
                        "remembered set lost; boundary " +
                            std::to_string(Boundary) + " forced to 0"});
     Boundary = 0;
@@ -79,7 +78,6 @@ AllocClock Heap::openCollection(AllocClock Boundary, bool &RebuildRemSet) {
 
 core::ScavengeRecord Heap::completeCollection(AllocClock Boundary,
                                               const ScavengeWork &Work,
-                                              uint64_t MemBeforeBytes,
                                               bool RebuildRemSet) {
   // The trace is done; everything from here is post-trace bookkeeping.
   Phase.store(GcPhase::Restoring, std::memory_order_relaxed);
@@ -87,16 +85,16 @@ core::ScavengeRecord Heap::completeCollection(AllocClock Boundary,
   Record.Index = History.size() + 1;
   Record.Time = Clock;
   Record.Boundary = Boundary;
-  Record.MemBeforeBytes = MemBeforeBytes;
+  Record.MemBeforeBytes = residentBytes();
 
-  ResidentBytes -= Work.ReclaimedBytes;
+  ReclaimedTotal.fetch_add(Work.ReclaimedBytes, std::memory_order_release);
   Record.TracedBytes = Work.TracedBytes;
   Record.ReclaimedBytes = Work.ReclaimedBytes;
-  Record.SurvivedBytes = ResidentBytes;
+  Record.SurvivedBytes = residentBytes();
   History.append(Record);
 
   Demographics.endScavenge(Clock);
-  BytesSinceCollect = 0;
+  CollectionEndClock.store(Clock, std::memory_order_release);
 
   // The full trace just visited every survivor; restore write-barrier
   // completeness by re-deriving the set from the live heap.
@@ -423,7 +421,7 @@ void Heap::watchQuantum(uint64_t Scanned, uint64_t BudgetBytes,
     Detail += "; degrading to serial shared-cursor tracing";
   }
   recordDegradation({DegradationKind::WatchdogDeadline, Clock, 0,
-                     BudgetBytes, ResidentBytes, std::move(Detail)});
+                     BudgetBytes, residentBytes(), std::move(Detail)});
 }
 
 void Heap::finishMarkSweepCycle(AllocClock Boundary, AllocClock BlackClock,
@@ -571,7 +569,7 @@ bool Heap::incrementalScavengeStep() {
     Inc = IncrementalState();
     syncIncMirror();
     finishMarkSweepCycle(Boundary, BlackClock, Work);
-    completeCollection(Boundary, Work, ResidentBytes, RebuildRemSet);
+    completeCollection(Boundary, Work, RebuildRemSet);
     return true;
   }
 
@@ -665,7 +663,7 @@ void Heap::abortIncrementalCycle(const char *Why) {
   bool RollbackFaulted = faultRequestedAt(FaultSite::CycleAbort);
 
   recordDegradation(
-      {DegradationKind::CycleAborted, Clock, 0, 0, ResidentBytes,
+      {DegradationKind::CycleAborted, Clock, 0, 0, residentBytes(),
        std::string(Why) + "; tb=" + std::to_string(Boundary) +
            " discarded " + std::to_string(GrayObjects) + " gray after " +
            std::to_string(Quanta) + " quanta (" +

@@ -128,7 +128,7 @@ bool Heap::runPressureLadder(uint64_t Gross, const char *Why) {
     bool Completed = History.size() != RecordsBefore;
     IncClosedByLadder = !Inc.Active;
     recordDegradation({DegradationKind::CycleAccelerated, Clock, Gross,
-                       Config.HeapLimitBytes, ResidentBytes,
+                       Config.HeapLimitBytes, residentBytes(),
                        std::string(Why) + "; ran " + std::to_string(Extra) +
                            " pressure " + (Extra == 1 ? "quantum" : "quanta") +
                            (Completed ? " (cycle completed)" : "")});
@@ -147,7 +147,7 @@ bool Heap::runPressureLadder(uint64_t Gross, const char *Why) {
         finishIncrementalScavenge();
         IncClosedByLadder = true;
         recordDegradation({DegradationKind::CycleCompletedEarly, Clock, Gross,
-                           Config.HeapLimitBytes, ResidentBytes, Why});
+                           Config.HeapLimitBytes, residentBytes(), Why});
         if (!overLimit(Gross))
           return true;
       }
@@ -167,7 +167,7 @@ bool Heap::runPressureLadder(uint64_t Gross, const char *Why) {
   if (!InCollection && Policy) {
     collect();
     recordDegradation({DegradationKind::EmergencyScavenge, Clock, Gross,
-                       Config.HeapLimitBytes, ResidentBytes, Why});
+                       Config.HeapLimitBytes, residentBytes(), Why});
     if (!overLimit(Gross))
       return true;
   }
@@ -178,14 +178,14 @@ bool Heap::runPressureLadder(uint64_t Gross, const char *Why) {
   if (!InCollection) {
     collectAtBoundary(0);
     recordDegradation({DegradationKind::EmergencyFullCollection, Clock,
-                       Gross, Config.HeapLimitBytes, ResidentBytes, Why});
+                       Gross, Config.HeapLimitBytes, residentBytes(), Why});
   }
 
   if (!overLimit(Gross))
     return true;
   // Rung 3: give up; tryAllocate returns null and allocate aborts.
   recordDegradation({DegradationKind::AllocationFailure, Clock, Gross,
-                     Config.HeapLimitBytes, ResidentBytes,
+                     Config.HeapLimitBytes, residentBytes(),
                      "degradation ladder exhausted"});
   return false;
 }
@@ -209,7 +209,7 @@ Object *Heap::tryAllocate(uint32_t NumSlots, uint32_t RawBytes) {
   // A direct allocation is in objects() as soon as this returns; context
   // allocations wait for publication at the next safepoint.
   Objects.push_back(O);
-  Demographics.setBytesSinceLastScavenge(BytesSinceCollect);
+  Demographics.setBytesSinceLastScavenge(bytesSinceCollect());
   return O;
 }
 
@@ -253,7 +253,7 @@ void Heap::handleRemSetOverflow(const char *Why) {
   if (!RemSetPessimized) {
     RemSetPessimized = true;
     recordDegradation({DegradationKind::RemSetOverflow, Clock, 0,
-                       Config.RemSetMaxEntries, ResidentBytes, Why});
+                       Config.RemSetMaxEntries, residentBytes(), Why});
   }
   RemSet.clear();
 }
@@ -263,7 +263,7 @@ void Heap::pessimizeNextCollection(const char *Why) {
     return;
   RemSetPessimized = true;
   recordDegradation({DegradationKind::BoundaryPessimized, Clock, 0, 0,
-                     ResidentBytes, Why});
+                     residentBytes(), Why});
 }
 
 void Heap::rebuildRememberedSet() {
@@ -348,7 +348,7 @@ core::ScavengeRecord Heap::collect() {
   core::BoundaryRequest Request;
   Request.Index = History.size() + 1;
   Request.Now = Clock;
-  Request.MemBytes = ResidentBytes;
+  Request.MemBytes = residentBytes();
   Request.History = &History;
   Request.Demo = DemoOverride ? DemoOverride : &Demographics;
   std::string Note;
@@ -374,7 +374,7 @@ core::ScavengeRecord Heap::collect() {
     Boundary = Fallback;
     Rule = "degraded";
     recordDegradation({DegradationKind::PolicyFallback, Clock, 0, 0,
-                       ResidentBytes,
+                       residentBytes(),
                        "injected policy-evaluation fault; FIXED1 fallback"});
   } else {
     {
@@ -387,14 +387,14 @@ core::ScavengeRecord Heap::collect() {
     }
     if (!Note.empty())
       recordDegradation({DegradationKind::PolicyFallback, Clock, 0, 0,
-                         ResidentBytes, Note});
+                         residentBytes(), Note});
     if (Boundary > Clock) {
       // A buggy policy answered in the future. Every boundary in
       // [0, now] is admissible, so degrade to FIXED1 instead of aborting.
       Boundary = Fallback;
       Rule = "degraded";
       recordDegradation({DegradationKind::PolicyFallback, Clock, 0, 0,
-                         ResidentBytes,
+                         residentBytes(),
                          "policy chose a boundary in the future; FIXED1 "
                          "fallback"});
     }

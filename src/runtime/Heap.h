@@ -400,9 +400,7 @@ public:
   }
 
   /// Resident bytes (live + not-yet-reclaimed garbage), gross.
-  uint64_t residentBytes() const {
-    return ResidentBytes.load(std::memory_order_relaxed);
-  }
+  uint64_t residentBytes() const { return clockSince(ReclaimedTotal); }
   size_t residentObjects() const { return Objects.size(); }
 
   /// Substitutes \p Demo for the survivor-table estimates in the
@@ -674,15 +672,21 @@ private:
   /// history, demographics close, optional remset rebuild, telemetry).
   core::ScavengeRecord completeCollection(core::AllocClock Boundary,
                                           const ScavengeWork &Work,
-                                          uint64_t MemBeforeBytes,
                                           bool RebuildRemSet);
 
+  /// Bytes allocated since the last collection ended: the trigger's count.
+  uint64_t bytesSinceCollect() const { return clockSince(CollectionEndClock); }
+  /// The clock minus \p Base, loading the base first (see Clock).
+  uint64_t clockSince(const std::atomic<uint64_t> &Base) const {
+    uint64_t Value = Base.load(std::memory_order_acquire);
+    return now() - Value;
+  }
   /// The automatic trigger: TriggerBytes allocated since the last
   /// collection, a policy, no collection open, and no incremental cycle
   /// (its embedder paces it; a trigger would drain it). Lock-free.
   bool triggerDue() const {
     return Config.TriggerBytes != 0 && Policy && !InCollection &&
-           !IncActiveFlag && BytesSinceCollect >= Config.TriggerBytes;
+           !IncActiveFlag && bytesSinceCollect() >= Config.TriggerBytes;
   }
   /// Both allocation paths call this once they saw triggerDue(): collects
   /// unless the trigger was served by the time this thread holds the world
@@ -692,8 +696,8 @@ private:
   bool overLimit(uint64_t Gross) const;
   /// Consults the Allocation fault site: the pressure's cause, or null.
   const char *allocationPressure(uint64_t Gross);
-  /// Stamps \p O's birth and charges its bytes to the clock, residency,
-  /// the trigger and the runtime.alloc.* counters.
+  /// Stamps \p O's birth on the clock, which residency and the trigger
+  /// are read off, and adds to the runtime.alloc.* counters.
   void chargeAllocation(Object *O, uint64_t Gross);
   [[noreturn]] static void fatalOutOfMemory();
   /// Frees (or quarantines+poisons) an object's storage: dedicated storage
@@ -772,16 +776,16 @@ private:
   core::BoundaryDecision PendingDecision;
   bool PendingDecisionValid = false;
 
-  /// The allocation clock and byte counters are atomics so registered
-  /// mutator contexts can advance them lock-free from their allocation
-  /// fast paths (relaxed fetch_add; births stay unique and monotone
-  /// because each allocation claims its own disjoint clock interval). The
-  /// direct single-mutator path uses them exactly as before — with one
-  /// thread the sequence of values is unchanged, keeping every trace,
-  /// BENCH record, and conformance grid byte-identical.
+  /// The allocation clock is the only counter an allocation advances: a
+  /// relaxed fetch_add per object, from any context, claims a disjoint
+  /// interval, so births stay unique and monotone. Residency and the
+  /// trigger's count are the clock minus a base only completeCollection
+  /// moves, world-stopped, with release (the bytes reclaimed so far; the
+  /// clock when the last collection ended). Readers load the base with
+  /// acquire before the clock, so their difference cannot underflow.
   std::atomic<core::AllocClock> Clock{0};
-  std::atomic<uint64_t> ResidentBytes{0};
-  std::atomic<uint64_t> BytesSinceCollect{0};
+  std::atomic<uint64_t> ReclaimedTotal{0};
+  std::atomic<core::AllocClock> CollectionEndClock{0};
   std::atomic<bool> InCollection{false};
 
   // --- Multi-mutator runtime state (runtime/Mutator.cpp) ----------------

@@ -287,7 +287,7 @@ Heap::PublicationSummary Heap::publishMutatorState() {
   // The demographics' allocation counter is maintained per-allocation on
   // the direct path; context allocations defer it to publication (it only
   // feeds policy decisions, which run world-stopped after this).
-  Demographics.setBytesSinceLastScavenge(BytesSinceCollect);
+  Demographics.setBytesSinceLastScavenge(bytesSinceCollect());
   return Sum;
 }
 

@@ -260,8 +260,7 @@ void Heap::forEachCrossing(core::AllocClock B, Fn &&Visit) {
 
 inline bool Heap::overLimit(uint64_t Gross) const {
   return Config.HeapLimitBytes != 0 &&
-         ResidentBytes.load(std::memory_order_relaxed) + Gross >
-             Config.HeapLimitBytes;
+         residentBytes() + Gross > Config.HeapLimitBytes;
 }
 
 inline const char *Heap::allocationPressure(uint64_t Gross) {
@@ -277,8 +276,6 @@ inline void Heap::chargeAllocation(Object *O, uint64_t Gross) {
   // interleave, and on one thread the clock takes the same values as
   // `Clock += Gross` would.
   O->Birth = Clock.fetch_add(Gross, std::memory_order_relaxed) + Gross;
-  ResidentBytes.fetch_add(Gross, std::memory_order_relaxed);
-  BytesSinceCollect.fetch_add(Gross, std::memory_order_relaxed);
   if (telemetry::enabled()) {
     // Registry references are stable for the process lifetime, so the
     // lookup cost is paid once; the disabled path is one relaxed load.

@@ -3,7 +3,8 @@
 // The mutator-context runtime's deterministic invariants: TLAB
 // carve/refill/retire accounting (no byte lost, no byte double-carved),
 // the safepoint count-in/count-out protocol against a real mutator
-// thread, one collection per trigger crossing under racing contexts,
+// thread, one collection per trigger crossing under racing contexts (on
+// both collectors, and within a heap limit through the pressure ladder),
 // phase-transition barrier routing, and the determinism contract (one
 // context driven single-threaded reproduces the direct heap API exactly).
 //
@@ -18,7 +19,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <atomic>
+#include <chrono>
 #include <optional>
 #include <thread>
 #include <vector>
@@ -291,55 +294,127 @@ TEST(SafepointTest, CollectionInsideCallbackSeesCallbackAllocations) {
 // The automatic trigger under racing contexts
 //===----------------------------------------------------------------------===//
 
-TEST(TriggerTest, RacingContextsRunOneCollectionPerCrossing) {
-  constexpr unsigned Threads = 4;
-  constexpr uint64_t TriggerBytes = 8 * 1024;
-  HeapConfig Config;
-  Config.TriggerBytes = TriggerBytes;
-  Config.Collector = CollectorKind::MarkSweep;
+namespace {
+
+constexpr unsigned MillThreads = 4;
+constexpr uint64_t MillTriggerBytes = 8 * 1024;
+
+/// Collections the pressure ladder ran (rungs 1 and 2). Every other
+/// collection in the mill is a trigger crossing's.
+uint64_t ladderCollections(const Heap &H) {
+  return H.degradationEventsOfKind(DegradationKind::EmergencyScavenge) +
+         H.degradationEventsOfKind(DegradationKind::EmergencyFullCollection);
+}
+
+/// The racing trigger mill on a FIXED1 heap built from \p Config:
+/// MillThreads contexts each allocate 10,000 rooted objects and trim their
+/// roots from 48 back to 8. On a mark-sweep heap every third object is
+/// linked from its predecessor; a copying collection by another thread
+/// moves objects under a raw pointer, so there the contexts only allocate
+/// and trim. This thread stops the world until the contexts are done, and
+/// once after. Every stop verifies the heap, checks that trigger
+/// collections equal the crossings the contexts report (and number at
+/// most one per TriggerBytes allocated), and checks that residency stays
+/// within the heap limit (if set) plus one object per context: a context
+/// may pass the limit check just before another fills the heap.
+void runRacingMill(HeapConfig Config) {
+  Config.TriggerBytes = MillTriggerBytes;
   Heap H(Config);
   H.setPolicy(core::createPolicy("fixed1", core::PolicyConfig()));
+  const bool Link = Config.Collector == CollectorKind::MarkSweep;
+  const uint64_t MaxGross = Object::grossBytesFor(1, 95);
 
-  std::atomic<unsigned> Ready{0};
-  std::vector<uint64_t> Triggered(Threads, 0);
+  // Each context publishes its trigger's collections after every op, so a
+  // stop may see a context one collection behind.
+  std::array<std::atomic<uint64_t>, MillThreads> Crossings{};
+  auto Check = [&](const Heap &Stopped, bool Final) {
+    expectVerified(Stopped, Final ? "after the race" : "mid-race safepoint");
+    uint64_t Reported = 0;
+    for (const std::atomic<uint64_t> &N : Crossings)
+      Reported += N.load(std::memory_order_relaxed);
+    uint64_t Triggered =
+        Stopped.history().size() - ladderCollections(Stopped);
+    EXPECT_GE(Triggered, Reported);
+    EXPECT_LE(Triggered, Reported + (Final ? 0 : MillThreads));
+    // A trigger collection runs only once TriggerBytes were counted since
+    // the last collection of any kind ended; contexts that saw the same
+    // crossing and each collected would overshoot this bound.
+    EXPECT_LE(Triggered, Stopped.now() / MillTriggerBytes);
+    if (Config.HeapLimitBytes != 0) {
+      EXPECT_LE(Stopped.residentBytes(),
+                Config.HeapLimitBytes + MillThreads * MaxGross);
+    }
+  };
+
+  std::atomic<unsigned> Ready{0}, Done{0};
   std::vector<std::thread> Workers;
-  for (unsigned T = 0; T != Threads; ++T)
+  for (unsigned T = 0; T != MillThreads; ++T)
     Workers.emplace_back([&, T] {
       MutatorContext Ctx(H);
       Ready.fetch_add(1, std::memory_order_acq_rel);
-      while (Ready.load(std::memory_order_acquire) != Threads)
+      while (Ready.load(std::memory_order_acquire) != MillThreads)
         std::this_thread::yield();
       for (uint32_t I = 0; I != 10'000; ++I) {
         size_t Idx = Ctx.allocateRooted(1, (I * 13 + T * 7) % 96);
-        if (Idx != 0 && I % 3 == 0)
+        if (Link && Idx != 0 && I % 3 == 0)
           Ctx.writeSlot(Ctx.root(Idx - 1), 0, Ctx.root(Idx));
         if (Ctx.numRoots() > 48)
           Ctx.truncateRoots(8);
+        Crossings[T].store(Ctx.stats().TriggeredCollections,
+                           std::memory_order_relaxed);
       }
-      Triggered[T] = Ctx.stats().TriggeredCollections;
+      Done.fetch_add(1, std::memory_order_acq_rel);
     });
 
-  // The verifier battery against the racing mill.
-  while (Ready.load(std::memory_order_acquire) != Threads)
-    std::this_thread::yield();
-  for (int Round = 0; Round != 4; ++Round)
-    H.runAtSafepoint(
-        [&](Heap &Stopped) { expectVerified(Stopped, "mid-race safepoint"); });
+  // A stop every 256 KB of allocation (the mill allocates ~3 MB): each
+  // verifies the whole heap, so stopping more often would mostly time the
+  // verifier.
+  for (uint64_t NextStop = 0;
+       Done.load(std::memory_order_acquire) != MillThreads;) {
+    if (H.now() < NextStop) {
+      std::this_thread::sleep_for(std::chrono::microseconds(100));
+      continue;
+    }
+    H.runAtSafepoint([&](Heap &Stopped) { Check(Stopped, false); });
+    NextStop = H.now() + 256 * 1024;
+  }
   for (std::thread &Worker : Workers)
     Worker.join();
+  H.runAtSafepoint([&](Heap &Stopped) { Check(Stopped, true); });
+  EXPECT_GE(H.history().size() - ladderCollections(H), 2u)
+      << "mill too small to cross the trigger";
+  EXPECT_EQ(H.degradationEventsOfKind(DegradationKind::AllocationFailure),
+            0u);
+  if (Config.HeapLimitBytes == 0) {
+    EXPECT_EQ(ladderCollections(H), 0u);
+  } else {
+    EXPECT_GT(ladderCollections(H), 0u) << "the limit never pressed";
+  }
+}
 
-  // A collection runs only once TriggerBytes were counted since the last
-  // reset, so the bound is exact; contexts that saw the same crossing and
-  // each collected would overshoot it.
-  size_t Collections = H.history().size();
-  EXPECT_GE(Collections, 2u) << "mill too small to cross the trigger";
-  EXPECT_LE(Collections, H.now() / TriggerBytes);
-  uint64_t Sum = 0;
-  for (uint64_t N : Triggered)
-    Sum += N;
-  EXPECT_EQ(Sum, Collections);
-  H.runAtSafepoint(
-      [&](Heap &Stopped) { expectVerified(Stopped, "after the race"); });
+} // namespace
+
+TEST(TriggerTest, RacingContextsRunOneCollectionPerCrossing) {
+  for (CollectorKind Kind : {CollectorKind::MarkSweep, CollectorKind::Copying}) {
+    SCOPED_TRACE(Kind == CollectorKind::MarkSweep ? "mark-sweep" : "copying");
+    HeapConfig Config;
+    Config.Collector = Kind;
+    runRacingMill(Config);
+  }
+}
+
+TEST(TriggerTest, RacingContextsUnderAHeapLimit) {
+  // Each context keeps at most ~49 objects of up to 128 bytes reachable,
+  // about 25 KB over the four; the limit is five times that. FIXED1
+  // tenures whatever survives its interval, so residency climbs to the
+  // limit and the pressure ladder runs from whichever context hits it.
+  for (CollectorKind Kind : {CollectorKind::MarkSweep, CollectorKind::Copying}) {
+    SCOPED_TRACE(Kind == CollectorKind::MarkSweep ? "mark-sweep" : "copying");
+    HeapConfig Config;
+    Config.Collector = Kind;
+    Config.HeapLimitBytes = 128 * 1024;
+    runRacingMill(Config);
+  }
 }
 
 TEST(TriggerTest, SafepointCallbackAllocationsDeferTheTrigger) {
