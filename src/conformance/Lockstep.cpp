@@ -440,15 +440,14 @@ LockstepResult dtb::conformance::runLockstep(const trace::Trace &T,
       // The collect() below and every comparison after it must come out
       // exactly as if this block never ran. A step entered with gray work
       // cannot complete the cycle (the root rescan only adds), so the
-      // bounded loop never races past the abort; the guard covers an
-      // injected step fault having aborted it already.
+      // bounded loop never races past the abort. Had an injected step
+      // fault aborted the cycle already, the abort just returns Aborted.
       H.beginIncrementalScavenge(Obs.Record.Time / 2);
       for (int Probe = 0;
            Probe != 3 && H.incrementalCycleInfo().GrayObjects != 0; ++Probe)
-        if (H.incrementalScavengeStep())
+        if (H.incrementalScavengeStep() != runtime::CycleStatus::Running)
           break;
-      if (H.incrementalScavengeActive())
-        H.abortIncrementalScavenge();
+      H.abortIncrementalScavenge();
     }
     core::ScavengeRecord Rt = H.collect();
     RtMemory.setLevel(Obs.Record.Time, static_cast<double>(H.residentBytes()));

@@ -41,7 +41,7 @@ core::ScavengeRecord Heap::collectAtBoundary(AllocClock Boundary) {
   WorldPause Pause(*this);
   // A full collection subsumes any incremental cycle in flight; finish it
   // first so its record lands in the history before this one.
-  if (Inc.Active)
+  if (incrementalScavengeActive())
     finishIncrementalScavenge();
   bool RebuildRemSet = false;
   Boundary = openCollection(Boundary, RebuildRemSet);
@@ -506,40 +506,36 @@ void Heap::beginIncrementalScavenge(AllocClock Boundary) {
   WorldPause Pause(*this);
   if (Config.Collector != CollectorKind::MarkSweep)
     fatalError("incremental scavenging requires the mark-sweep collector");
-  if (Inc.Active)
+  if (incrementalScavengeActive())
     fatalError("incremental scavenge already active");
   // Rollback state for abortIncrementalScavenge: the pre-cycle stats. The
   // survivor table needs none — only the sweep touches it.
-  CollectionStats PrevStats = LastStats;
-  bool RebuildRemSet = false;
-  Boundary = openCollection(Boundary, RebuildRemSet);
   Inc = IncrementalState();
-  IncClosedByLadder = false;
-  Inc.Active = true;
-  Inc.Boundary = Boundary;
+  Inc.PrevStats = LastStats;
+  Inc.Boundary = openCollection(Boundary, Inc.RebuildRemSet);
+  Inc.Status = CycleStatus::Running;
   Inc.BlackClock = Clock;
-  Inc.RebuildRemSet = RebuildRemSet;
-  Inc.PrevStats = PrevStats;
   syncIncMirror();
-  FlightRec.record(FlightEventKind::CycleBegin, Clock, Boundary);
-  seedMarkSweepRoots(Boundary, Inc.BlackClock, Inc.Gray, Inc.Work);
+  FlightRec.record(FlightEventKind::CycleBegin, Clock, Inc.Boundary);
+  seedMarkSweepRoots(Inc.Boundary, Inc.BlackClock, Inc.Gray, Inc.Work);
   InCollection = false;
 }
 
-bool Heap::incrementalScavengeStep() {
+CycleStatus Heap::incrementalScavengeStep() {
   // Every quantum is its own stop-the-world window: contexts publish and
   // flush at its rendezvous, then run free again between quanta.
   WorldPause Pause(*this);
-  if (noOpenCycle())
-    return true;
+  if (!Inc.Status)
+    fatalError("no incremental scavenge is active");
+  if (*Inc.Status != CycleStatus::Running)
+    return *Inc.Status;
   if (InCollection)
     fatalError("re-entrant collection");
   if (faultRequestedAt(FaultSite::IncrementalStep)) {
     // The embedder's quantum "failed" before it ran (cancelled time
     // slice, preempted helper). The always-safe recovery is to cancel
     // the whole cycle; a later collection redoes the work.
-    abortIncrementalCycle("injected incremental-step fault");
-    return true;
+    return abortIncrementalCycle("injected incremental-step fault");
   }
   InCollection = true;
 
@@ -562,15 +558,9 @@ bool Heap::incrementalScavengeStep() {
     // Marking converged: no gray work survived the rescan, so every
     // reachable threatened object born before BlackClock is marked and
     // the cycle can close.
-    AllocClock Boundary = Inc.Boundary;
-    AllocClock BlackClock = Inc.BlackClock;
-    bool RebuildRemSet = Inc.RebuildRemSet;
-    ScavengeWork Work = Inc.Work;
-    Inc = IncrementalState();
-    syncIncMirror();
-    finishMarkSweepCycle(Boundary, BlackClock, Work);
-    completeCollection(Boundary, Work, RebuildRemSet);
-    return true;
+    finishMarkSweepCycle(Inc.Boundary, Inc.BlackClock, Inc.Work);
+    completeCollection(Inc.Boundary, Inc.Work, Inc.RebuildRemSet);
+    return closeIncrementalCycle(CycleStatus::Completed);
   }
 
   {
@@ -586,44 +576,32 @@ bool Heap::incrementalScavengeStep() {
     Phase.addCost(Inc.Work.TracedBytes - Before);
   }
   InCollection = false;
-  return false;
+  return CycleStatus::Running;
 }
 
-core::ScavengeRecord Heap::finishIncrementalScavenge() {
+CycleStatus Heap::finishIncrementalScavenge() {
+  // One stopped world for the whole drain: no context runs between its
+  // quanta.
   WorldPause Pause(*this);
-  if (noOpenCycle())
-    return core::ScavengeRecord();
-  size_t RecordsBefore = History.size();
-  while (!incrementalScavengeStep()) {
-  }
-  // An injected IncrementalStep fault can abort the drain instead of
-  // completing it; no record was appended then.
-  if (History.size() == RecordsBefore)
-    return core::ScavengeRecord();
-  return History.last();
+  CycleStatus Status;
+  do
+    Status = incrementalScavengeStep();
+  while (Status == CycleStatus::Running);
+  return Status;
 }
 
-void Heap::abortIncrementalScavenge() {
+CycleStatus Heap::abortIncrementalScavenge() {
   WorldPause Pause(*this);
-  if (noOpenCycle())
-    return;
+  if (!Inc.Status)
+    fatalError("no incremental scavenge is active");
+  if (*Inc.Status != CycleStatus::Running)
+    return *Inc.Status;
   if (InCollection)
     fatalError("re-entrant collection");
-  abortIncrementalCycle("explicit abort");
+  return abortIncrementalCycle("explicit abort");
 }
 
-bool Heap::noOpenCycle() {
-  // The ladder runs world-stopped for another context's allocation, so it
-  // can close the cycle between two of the embedder's calls.
-  if (Inc.Active)
-    return false;
-  if (!IncClosedByLadder)
-    fatalError("no incremental scavenge is active");
-  IncClosedByLadder = false;
-  return true;
-}
-
-void Heap::abortIncrementalCycle(const char *Why) {
+CycleStatus Heap::abortIncrementalCycle(const char *Why) {
   InCollection = true;
   const AllocClock Boundary = Inc.Boundary;
   const AllocClock BlackClock = Inc.BlackClock;
@@ -647,8 +625,7 @@ void Heap::abortIncrementalCycle(const char *Why) {
   // The watchdog state is left for the next collection's prologue to
   // reset; nothing reads it before then.
   LastStats = Inc.PrevStats;
-  Inc = IncrementalState();
-  syncIncMirror();
+  closeIncrementalCycle(CycleStatus::Aborted);
 
   // Close the partial phase tree (no frames stay open between incremental
   // calls); the aggregates keep the already-attributed cost, which is
@@ -672,11 +649,12 @@ void Heap::abortIncrementalCycle(const char *Why) {
   if (RollbackFaulted)
     pessimizeNextCollection("injected cycle-abort fault; rollback "
                             "distrusted, next collection forced full");
+  return CycleStatus::Aborted;
 }
 
 IncrementalCycleInfo Heap::incrementalCycleInfo() const {
   IncrementalCycleInfo Info;
-  if (!Inc.Active)
+  if (!incrementalScavengeActive())
     return Info;
   Info.Active = true;
   Info.Boundary = Inc.Boundary;

@@ -113,43 +113,46 @@ bool Heap::runPressureLadder(uint64_t Gross, const char *Why) {
   // Mid-cycle rungs: while an incremental cycle is open, automatic
   // triggering is suspended, so pressure must be relieved through the
   // cycle itself before the ordinary ladder below can run.
-  if (Inc.Active && !InCollection) {
+  if (incrementalScavengeActive() && !InCollection) {
     // Rung i1: accelerate — run extra quanta on the open cycle right now.
     // The cheapest response: the cycle may be a few quanta from sweeping
     // the garbage that relieves the pressure. Then complete-now/abort.
     constexpr unsigned PressureAccelerateQuanta = 4;
-    size_t RecordsBefore = History.size();
+    CycleStatus Status = CycleStatus::Running;
     unsigned Extra = 0;
-    while (Extra != PressureAccelerateQuanta && Inc.Active) {
+    while (Extra != PressureAccelerateQuanta &&
+           Status == CycleStatus::Running) {
       ++Extra;
-      if (incrementalScavengeStep())
-        break;
+      Status = incrementalScavengeStep();
     }
-    bool Completed = History.size() != RecordsBefore;
-    IncClosedByLadder = !Inc.Active;
     recordDegradation({DegradationKind::CycleAccelerated, Clock, Gross,
                        Config.HeapLimitBytes, residentBytes(),
                        std::string(Why) + "; ran " + std::to_string(Extra) +
                            " pressure " + (Extra == 1 ? "quantum" : "quanta") +
-                           (Completed ? " (cycle completed)" : "")});
+                           (Status == CycleStatus::Completed
+                                ? " (cycle completed)"
+                                : "")});
     if (!overLimit(Gross))
       return true;
 
     // Rung i2: complete-now — drain the cycle when its remaining gray
     // work is bounded (a few budgets' worth), trading one oversized pause
-    // for the cycle's full reclamation.
-    if (Inc.Active) {
+    // for the cycle's full reclamation. A drain an injected fault aborted
+    // completed nothing, so only a completed one is recorded.
+    if (Status == CycleStatus::Running) {
       uint64_t GrayBytes = 0;
       for (const Object *O : Inc.Gray)
         GrayBytes += O->grossBytes();
       uint64_t Budget = Config.ScavengeBudgetBytes;
       if (Budget == 0 || GrayBytes <= 4 * Budget) {
-        finishIncrementalScavenge();
-        IncClosedByLadder = true;
-        recordDegradation({DegradationKind::CycleCompletedEarly, Clock, Gross,
-                           Config.HeapLimitBytes, residentBytes(), Why});
-        if (!overLimit(Gross))
-          return true;
+        Status = finishIncrementalScavenge();
+        if (Status == CycleStatus::Completed) {
+          recordDegradation({DegradationKind::CycleCompletedEarly, Clock,
+                             Gross, Config.HeapLimitBytes, residentBytes(),
+                             Why});
+          if (!overLimit(Gross))
+            return true;
+        }
       }
     }
 
@@ -157,9 +160,8 @@ bool Heap::runPressureLadder(uint64_t Gross, const char *Why) {
     // trigger suspended and its marking is stale against the pressure);
     // cancel it so the full-strength rungs below can run. Aborting is
     // always safe: the heap is restored as if the cycle never started.
-    if (Inc.Active)
+    if (Status == CycleStatus::Running)
       abortIncrementalCycle("mid-cycle allocation pressure");
-    IncClosedByLadder = true;
   }
 
   // Rung 1: an out-of-schedule scavenge at the policy's boundary — the
@@ -223,7 +225,7 @@ void Heap::writeSlot(Object *Source, uint32_t SlotIndex, Object *Value) {
   // scanned (black) source, so the barrier re-greys the stored value; the
   // next step marks it. Objects born after the cycle's clock snapshot are
   // black by construction and need no greying.
-  if (Inc.Active && Value && Value->birth() > Inc.Boundary &&
+  if (incrementalScavengeActive() && Value && Value->birth() > Inc.Boundary &&
       Value->birth() <= Inc.BlackClock && !Value->isMarked())
     Inc.PendingGray.push_back(Value);
   // Write barrier: record forward-in-time pointers (older -> younger).
@@ -342,7 +344,7 @@ core::ScavengeRecord Heap::collect() {
   WorldPause Pause(*this);
   // Close out any incremental cycle first so the policy decides against a
   // history that includes it.
-  if (Inc.Active)
+  if (incrementalScavengeActive())
     finishIncrementalScavenge();
 
   core::BoundaryRequest Request;

@@ -170,6 +170,15 @@ struct CollectionStats {
   /// model cost over HeapConfig::QuantumDeadlineMillis, or injected
   /// watchdog faults). Each one halved the effective scavenge budget.
   uint64_t WatchdogViolations = 0;
+  bool operator==(const CollectionStats &) const = default;
+};
+
+/// How the incremental cycle begun last stands, as Heap's step, finish and
+/// abort return it. A closed cycle's status sticks until the next begin.
+enum class CycleStatus {
+  Running,   ///< Open: gray work remains.
+  Completed, ///< Closed with its record appended: history().last().
+  Aborted,   ///< Closed without a record, as if it never began.
 };
 
 /// Snapshot of an open incremental cycle (all-zero when none is open);
@@ -290,22 +299,20 @@ public:
   void beginIncrementalScavenge(core::AllocClock Boundary);
 
   /// Runs one quantum (ScavengeBudgetBytes of scanned work; unbounded
-  /// when 0) of the active incremental scavenge. Returns true when the
-  /// cycle is over: either it completed — weak refs were processed, the
-  /// threatened suffix swept, and the scavenge recorded in history() — or
-  /// an injected IncrementalStep fault aborted it (no record appended;
-  /// distinguish via history().size() or incrementalScavengeActive()).
-  /// Returns false while gray work remains. If allocation pressure closed
-  /// the cycle since the last call (the degradation ladder's mid-cycle
-  /// rungs), the next step, finish or abort reports it over: true, a zero
-  /// record, nothing. Any other call without an open cycle is misuse.
-  bool incrementalScavengeStep();
+  /// when 0) of the open incremental cycle and returns how it stands:
+  /// Running while gray work remains, Completed once weak refs were
+  /// processed, the threatened suffix swept and the record appended, or
+  /// Aborted when an injected IncrementalStep fault cancelled it. A cycle
+  /// closes through its embedder, the degradation ladder serving any
+  /// context's allocation, that fault, or collect() draining it; from then
+  /// on step, finish and abort only return the closing status, until the
+  /// next begin. Each reads the status world-stopped. Calling any of the
+  /// three before the first begin is a usage error.
+  CycleStatus incrementalScavengeStep();
 
-  /// Drains the active incremental scavenge to completion and returns its
-  /// record. If an injected fault aborts the cycle mid-drain, returns a
-  /// zero record (Index == 0) instead — callers that need the
-  /// distinction should compare history().size().
-  core::ScavengeRecord finishIncrementalScavenge();
+  /// Steps the open cycle until it closes and returns how it closed:
+  /// Completed, or Aborted when an injected fault cancelled the drain.
+  CycleStatus finishIncrementalScavenge();
 
   /// Cancels the open incremental cycle, restoring the heap to a state
   /// observably equivalent to the cycle never having started: the gray
@@ -315,11 +322,14 @@ public:
   /// ScavengeRecord is appended. Records a CycleAborted degradation event
   /// (+ telemetry instant). An injected CycleAbort fault models a failed
   /// rollback of the barrier bookkeeping: the heap stays safe by
-  /// pessimizing the next collection to a full one.
-  void abortIncrementalScavenge();
+  /// pessimizing the next collection to a full one. Returns Aborted, or
+  /// the closing status of a cycle that had already closed.
+  CycleStatus abortIncrementalScavenge();
 
-  /// True between beginIncrementalScavenge and cycle completion/abort.
-  bool incrementalScavengeActive() const { return Inc.Active; }
+  /// True between beginIncrementalScavenge and the cycle's close.
+  bool incrementalScavengeActive() const {
+    return Inc.Status == CycleStatus::Running;
+  }
 
   /// Introspection snapshot of the open cycle (all-zero when none).
   IncrementalCycleInfo incrementalCycleInfo() const;
@@ -593,7 +603,9 @@ private:
 
   /// State of a resumable mark-sweep cycle (see beginIncrementalScavenge).
   struct IncrementalState {
-    bool Active = false;
+    /// How the cycle begun last stands (none before the first begin). The
+    /// cycle is open exactly while this is Running.
+    std::optional<CycleStatus> Status;
     core::AllocClock Boundary = 0;
     /// Clock snapshot at cycle begin: objects born after it are black by
     /// construction (never threatened by this cycle's sweep).
@@ -654,11 +666,8 @@ private:
                             core::AllocClock BlackClock, ScavengeWork &Work);
   /// Abort body shared by abortIncrementalScavenge(), the injected
   /// IncrementalStep fault, and the mid-cycle pressure ladder; \p Why
-  /// leads the CycleAborted event's detail.
-  void abortIncrementalCycle(const char *Why);
-  /// Step, finish and abort's check: false while a cycle is open, true
-  /// (once) when the pressure ladder closed it, else a usage error.
-  bool noOpenCycle();
+  /// leads the CycleAborted event's detail. Returns Aborted.
+  CycleStatus abortIncrementalCycle(const char *Why);
   /// Merges lane buffers (fixed lane order) into the gray queue and the
   /// collection stats.
   void drainTraceLanes(TraceLaneSet &Lanes, std::vector<Object *> &Gray,
@@ -711,12 +720,22 @@ private:
   /// under the heap limit. Returns false, after recording the
   /// AllocationFailure event, when the ladder is exhausted.
   bool runPressureLadder(uint64_t Gross, const char *Why);
-  /// Refreshes the atomic mirrors of Inc.{Active,Boundary,BlackClock};
+  /// Refreshes the atomic mirrors of Inc.{Status,Boundary,BlackClock};
   /// call after every mutation of those fields.
   void syncIncMirror() {
-    IncActiveFlag.store(Inc.Active, std::memory_order_relaxed);
+    IncActiveFlag.store(incrementalScavengeActive(),
+                        std::memory_order_relaxed);
     IncBoundaryAtomic.store(Inc.Boundary, std::memory_order_relaxed);
     IncBlackClockAtomic.store(Inc.BlackClock, std::memory_order_relaxed);
+  }
+  /// The one point every cycle closes: resets the cycle state, keeping
+  /// \p Status (Completed or Aborted) for later step, finish and abort
+  /// calls to return, and refreshes the mirrors.
+  CycleStatus closeIncrementalCycle(CycleStatus Status) {
+    Inc = IncrementalState();
+    Inc.Status = Status;
+    syncIncMirror();
+    return Status;
   }
 
   /// Scoped stopWorld/resumeWorld pair for the collection entry points.
@@ -768,8 +787,6 @@ private:
   /// across collections so lanes do not respawn threads per scavenge.
   std::unique_ptr<ThreadPool> TracePool;
   IncrementalState Inc;
-  /// The pressure ladder closed the cycle; the embedder is not told yet.
-  bool IncClosedByLadder = false;
   /// Decision explanation the policy filled for the scavenge collect() is
   /// about to run, for its TB instant; valid only when
   /// PendingDecisionValid (collect() with telemetry enabled).

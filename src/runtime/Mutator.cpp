@@ -256,7 +256,7 @@ Heap::PublicationSummary Heap::publishMutatorState() {
     Flush.addCost(Sum.FlushedBarrierEntries);
   }
   for (MutatorContext *Ctx : Mutators) {
-    if (Inc.Active)
+    if (incrementalScavengeActive())
       Inc.PendingGray.insert(Inc.PendingGray.end(), Ctx->GreyBuffer.begin(),
                              Ctx->GreyBuffer.end());
     Ctx->GreyBuffer.clear();

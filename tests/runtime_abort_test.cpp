@@ -4,9 +4,10 @@
 // to one that never started (records, stats, demographics, trace flags),
 // aborting re-arms the suspended allocation trigger, Heap::collect()
 // drains an open cycle first, mid-cycle allocation pressure walks the
-// accelerate / complete-now / abort rungs, and the deterministic
-// pause-deadline watchdog backs off the budget (and degrades to serial
-// tracing) without changing a single exported record.
+// accelerate / complete-now / abort rungs, a closed cycle's status sticks
+// however it closed, and the deterministic pause-deadline watchdog backs
+// off the budget (and degrades to serial tracing) without changing a
+// single exported record.
 //
 //===----------------------------------------------------------------------===//
 
@@ -20,6 +21,7 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <string>
 #include <vector>
 
@@ -101,11 +103,10 @@ TEST(AbortTest, AbortedCycleIsEquivalentToNeverStarting) {
   uint64_t ResidentBefore = H.residentBytes();
   H.beginIncrementalScavenge(0);
   for (int Step = 0; Step != 3; ++Step)
-    ASSERT_FALSE(H.incrementalScavengeStep());
-  H.abortIncrementalScavenge();
+    ASSERT_EQ(H.incrementalScavengeStep(), CycleStatus::Running);
+  ASSERT_EQ(H.abortIncrementalScavenge(), CycleStatus::Aborted);
 
   // The abort reclaimed nothing, appended no record, and left no flags.
-  EXPECT_FALSE(H.incrementalScavengeActive());
   EXPECT_EQ(H.residentBytes(), ResidentBefore);
   EXPECT_EQ(H.history().size(), 0u);
   for (const Object *O : H.objects())
@@ -120,8 +121,8 @@ TEST(AbortTest, AbortedCycleIsEquivalentToNeverStarting) {
   expectSameRecord(RefMid, H.collectAtBoundary(Mid));
   EXPECT_EQ(H.demographics().liveEstimatesSnapshot(), RefMidEstimates);
   H.beginIncrementalScavenge(H.now() / 4);
-  ASSERT_FALSE(H.incrementalScavengeStep());
-  H.abortIncrementalScavenge();
+  ASSERT_EQ(H.incrementalScavengeStep(), CycleStatus::Running);
+  ASSERT_EQ(H.abortIncrementalScavenge(), CycleStatus::Aborted);
   expectSameRecord(RefFull, H.collectAtBoundary(0));
   EXPECT_EQ(H.residentBytes(), R.residentBytes());
   EXPECT_EQ(H.demographics().liveEstimatesSnapshot(),
@@ -141,8 +142,8 @@ TEST(AbortTest, AbortRestoresLastCollectionStats) {
   CollectionStats Before = H.lastCollectionStats();
 
   H.beginIncrementalScavenge(0);
-  ASSERT_FALSE(H.incrementalScavengeStep());
-  H.abortIncrementalScavenge();
+  ASSERT_EQ(H.incrementalScavengeStep(), CycleStatus::Running);
+  ASSERT_EQ(H.abortIncrementalScavenge(), CycleStatus::Aborted);
 
   const CollectionStats &After = H.lastCollectionStats();
   EXPECT_EQ(Before.ObjectsReclaimed, After.ObjectsReclaimed);
@@ -161,8 +162,8 @@ TEST(AbortTest, AbortRecordsCycleAbortedDegradation) {
   buildWorkload(H, Scope);
 
   H.beginIncrementalScavenge(0);
-  ASSERT_FALSE(H.incrementalScavengeStep());
-  H.abortIncrementalScavenge();
+  ASSERT_EQ(H.incrementalScavengeStep(), CycleStatus::Running);
+  ASSERT_EQ(H.abortIncrementalScavenge(), CycleStatus::Aborted);
 
   EXPECT_EQ(H.totalDegradationEvents(), 1u);
   EXPECT_EQ(eventsOf(H, DegradationKind::CycleAborted), 1u);
@@ -178,57 +179,129 @@ TEST(AbortTest, AbortWithoutActiveCycleDies) {
   EXPECT_DEATH(H.abortIncrementalScavenge(), "no incremental scavenge");
 }
 
-TEST(AbortTest, CycleClosedByAnotherContextsPressureIsReportedOnce) {
-  // One thread steps a cycle and also drives a context. An injected
-  // allocation fault on the context walks the mid-cycle ladder, whose
-  // accelerate rung completes the cycle between two of the thread's
-  // steps. The next step reports the cycle over instead of killing the
-  // process; a step after that has no cycle to report and is misuse.
-  Heap H(manualConfig());
-  MutatorContext Ctx(H);
-  size_t Root = Ctx.allocateRooted(1, 0);
-  Ctx.writeSlot(Ctx.root(Root), 0, Ctx.allocate(0, 32));
-  for (int I = 0; I != 50; ++I)
-    Ctx.allocate(0, 64); // Garbage.
+TEST(AbortTest, ClosedCycleStatusSticksOnEveryClosePath) {
+  // A cycle closes through its embedder, an injected step fault, the
+  // pressure ladder serving a context's allocation, or a collection that
+  // drains it. However it closed, every later step, finish and abort
+  // returns the closing status and changes nothing until the next begin.
+  struct ClosePath {
+    const char *Name;
+    CycleStatus Closed;
+    std::function<void(Heap &, MutatorContext &)> Close;
+  };
+  const ClosePath Paths[] = {
+      {"embedder step completes", CycleStatus::Completed,
+       [](Heap &H, MutatorContext &) {
+         while (H.incrementalScavengeStep() == CycleStatus::Running) {
+         }
+       }},
+      {"injected step fault aborts", CycleStatus::Aborted,
+       [](Heap &H, MutatorContext &) {
+         FaultInjector Injector(1);
+         Injector.armOneShot(FaultSite::IncrementalStep, 1);
+         FaultInjectionScope Faults(Injector);
+         (void)H.incrementalScavengeStep();
+       }},
+      {"ladder accelerate rung completes", CycleStatus::Completed,
+       [](Heap &H, MutatorContext &Ctx) {
+         // With no gray work left, the rung's first quantum closes the
+         // cycle; an injected allocation fault on the context enters the
+         // ladder without crossing the limit.
+         while (H.incrementalCycleInfo().GrayObjects != 0)
+           ASSERT_EQ(H.incrementalScavengeStep(), CycleStatus::Running);
+         FaultInjector Injector(2);
+         Injector.armOneShot(FaultSite::Allocation, 1);
+         FaultInjectionScope Faults(Injector);
+         ASSERT_NE(Ctx.allocate(0, 8), nullptr);
+       }},
+      {"ladder abort rung aborts", CycleStatus::Aborted,
+       [](Heap &H, MutatorContext &Ctx) {
+         // Four quanta leave a backlog too deep for complete-now.
+         uint64_t Pad = H.config().HeapLimitBytes - H.residentBytes() + 1;
+         ASSERT_NE(Ctx.allocate(0, static_cast<uint32_t>(Pad)), nullptr);
+       }},
+      {"explicit abort", CycleStatus::Aborted,
+       [](Heap &H, MutatorContext &) { (void)H.abortIncrementalScavenge(); }},
+      {"collection drains", CycleStatus::Completed,
+       [](Heap &H, MutatorContext &) { H.collectAtBoundary(0); }},
+  };
+
+  for (const ClosePath &Path : Paths) {
+    SCOPED_TRACE(Path.Name);
+    HeapConfig Config = manualConfig();
+    Config.ScavengeBudgetBytes = 64;
+    Config.HeapLimitBytes = 64 * 1024;
+    Heap H(Config);
+    MutatorContext Ctx(H);
+    size_t Hub = Ctx.allocateRooted(220, 0);
+    for (uint32_t I = 0; I != 220; ++I)
+      Ctx.writeSlot(Ctx.root(Hub), I, Ctx.allocate(0, 24));
+    for (int I = 0; I != 160; ++I)
+      Ctx.allocate(0, 128); // Garbage.
+
+    H.beginIncrementalScavenge(0);
+    ASSERT_EQ(H.incrementalScavengeStep(), CycleStatus::Running);
+    Path.Close(H, Ctx);
+    if (::testing::Test::HasFatalFailure())
+      return;
+    ASSERT_FALSE(H.incrementalScavengeActive());
+
+    const size_t Records = H.history().size();
+    const uint64_t Events = H.totalDegradationEvents();
+    const CollectionStats Stats = H.lastCollectionStats();
+    for (int Round = 0; Round != 2; ++Round) {
+      EXPECT_EQ(H.incrementalScavengeStep(), Path.Closed);
+      EXPECT_EQ(H.finishIncrementalScavenge(), Path.Closed);
+      EXPECT_EQ(H.abortIncrementalScavenge(), Path.Closed);
+    }
+    EXPECT_EQ(H.history().size(), Records);
+    EXPECT_EQ(H.totalDegradationEvents(), Events);
+    EXPECT_TRUE(H.lastCollectionStats() == Stats);
+    H.runAtSafepoint([](Heap &Stopped) { expectVerifies(Stopped); });
+  }
+}
+
+TEST(AbortTest, CompleteNowRungRecordsOnlyACompletedDrain) {
+  // The complete-now rung drains a cycle whose gray backlog fits in four
+  // budgets. Here the drain's first quantum meets an injected step fault
+  // and aborts the cycle, so the rung reports no early completion and the
+  // ladder goes on to the emergency full collection.
+  HeapConfig Config = manualConfig();
+  Config.ScavengeBudgetBytes = 64;
+  Config.HeapLimitBytes = 64 * 1024;
+  Heap H(Config);
+  HandleScope Scope(H);
+
+  Object *&Hub = Scope.slot(H.allocate(12, 0));
+  for (uint32_t I = 0; I != 12; ++I)
+    H.writeSlot(Hub, I, H.allocate(0, 24));
+  for (int I = 0; I != 160; ++I)
+    H.allocate(0, 128); // Garbage.
 
   H.beginIncrementalScavenge(0);
-  ASSERT_FALSE(H.incrementalScavengeStep());
+  ASSERT_EQ(H.incrementalScavengeStep(), CycleStatus::Running);
+
+  // The accelerate rung's four quanta are the step site's first four
+  // consults under the injector; the fifth is the drain's first quantum.
+  uint64_t Pad = Config.HeapLimitBytes - H.residentBytes() + 1;
   {
     FaultInjector Injector(1);
-    Injector.armOneShot(FaultSite::Allocation, 1);
+    Injector.armOneShot(FaultSite::IncrementalStep, 5);
     FaultInjectionScope Faults(Injector);
-    ASSERT_NE(Ctx.allocate(0, 8), nullptr);
+    ASSERT_NE(H.tryAllocate(0, static_cast<uint32_t>(Pad)), nullptr);
+    EXPECT_EQ(Injector.injections(FaultSite::IncrementalStep), 1u);
   }
-  EXPECT_FALSE(H.incrementalScavengeActive());
-  EXPECT_EQ(eventsOf(H, DegradationKind::CycleAccelerated), 1u);
-  EXPECT_EQ(H.history().size(), 1u);
 
-  EXPECT_TRUE(H.incrementalScavengeStep());
-  EXPECT_EQ(H.history().size(), 1u);
-  EXPECT_DEATH(H.incrementalScavengeStep(), "no incremental scavenge");
-  H.runAtSafepoint([](Heap &Stopped) { expectVerifies(Stopped); });
-
-  // Finish and abort report a ladder-closed cycle the same way.
-  H.beginIncrementalScavenge(0);
-  {
-    FaultInjector Injector(2);
-    Injector.armOneShot(FaultSite::Allocation, 1);
-    FaultInjectionScope Faults(Injector);
-    ASSERT_NE(Ctx.allocate(0, 8), nullptr);
-  }
-  ASSERT_FALSE(H.incrementalScavengeActive());
-  EXPECT_EQ(H.finishIncrementalScavenge().Index, 0u);
-  H.beginIncrementalScavenge(0);
-  {
-    FaultInjector Injector(3);
-    Injector.armOneShot(FaultSite::Allocation, 1);
-    FaultInjectionScope Faults(Injector);
-    ASSERT_NE(Ctx.allocate(0, 8), nullptr);
-  }
-  ASSERT_FALSE(H.incrementalScavengeActive());
-  H.abortIncrementalScavenge();
-  EXPECT_DEATH(H.abortIncrementalScavenge(), "no incremental scavenge");
-  EXPECT_EQ(H.history().size(), 3u);
+  EXPECT_EQ(H.incrementalScavengeStep(), CycleStatus::Aborted);
+  std::vector<std::string> Rungs;
+  for (const DegradationEvent &Event : H.degradationLog())
+    Rungs.push_back(degradationKindName(Event.Kind));
+  EXPECT_EQ(Rungs, (std::vector<std::string>{"cycle-accelerated",
+                                             "cycle-aborted",
+                                             "emergency-full-collection"}));
+  EXPECT_EQ(eventsOf(H, DegradationKind::CycleCompletedEarly), 0u);
+  EXPECT_EQ(H.history().size(), 1u); // The emergency collection's record.
+  expectVerifies(H);
 }
 
 TEST(AbortTest, TriggerRearmsAfterAbort) {
@@ -243,7 +316,7 @@ TEST(AbortTest, TriggerRearmsAfterAbort) {
   H.writeSlot(Root, 0, H.allocate(0, 32));
 
   H.beginIncrementalScavenge(0);
-  ASSERT_FALSE(H.incrementalScavengeStep());
+  ASSERT_EQ(H.incrementalScavengeStep(), CycleStatus::Running);
   size_t Before = H.history().size();
 
   // Triggering is suspended while the cycle is open...
@@ -252,8 +325,7 @@ TEST(AbortTest, TriggerRearmsAfterAbort) {
   EXPECT_EQ(H.history().size(), Before);
 
   // ...and live again as soon as the cycle is aborted.
-  H.abortIncrementalScavenge();
-  EXPECT_FALSE(H.incrementalScavengeActive());
+  ASSERT_EQ(H.abortIncrementalScavenge(), CycleStatus::Aborted);
   for (int I = 0; I != 200; ++I)
     H.allocate(0, 64);
   EXPECT_GT(H.history().size(), Before);
@@ -269,12 +341,12 @@ TEST(AbortTest, PolicyCollectDrainsOpenCycleFirst) {
   buildWorkload(H, Scope);
 
   H.beginIncrementalScavenge(0);
-  ASSERT_FALSE(H.incrementalScavengeStep());
+  ASSERT_EQ(H.incrementalScavengeStep(), CycleStatus::Running);
 
   // The policy-driven entry point must retire the in-flight cycle (its
   // own record) before running the collection it was asked for.
   H.collect();
-  EXPECT_FALSE(H.incrementalScavengeActive());
+  EXPECT_EQ(H.finishIncrementalScavenge(), CycleStatus::Completed);
   EXPECT_EQ(H.history().size(), 2u);
   expectVerifies(H);
 }
@@ -299,7 +371,7 @@ TEST(AbortTest, MidCyclePressureAcceleratesOpenCycle) {
   Object *Big = H.tryAllocate(0, static_cast<uint32_t>(Pad));
   ASSERT_NE(Big, nullptr);
 
-  EXPECT_FALSE(H.incrementalScavengeActive());
+  EXPECT_EQ(H.incrementalScavengeStep(), CycleStatus::Completed);
   EXPECT_EQ(eventsOf(H, DegradationKind::CycleAccelerated), 1u);
   EXPECT_EQ(eventsOf(H, DegradationKind::CycleAborted), 0u);
   EXPECT_EQ(eventsOf(H, DegradationKind::EmergencyFullCollection), 0u);
@@ -325,13 +397,13 @@ TEST(AbortTest, MidCyclePressureAbortsCycleWithDeepGrayBacklog) {
     H.allocate(0, 128); // Garbage only the full collection will reach.
 
   H.beginIncrementalScavenge(0);
-  ASSERT_FALSE(H.incrementalScavengeStep());
+  ASSERT_EQ(H.incrementalScavengeStep(), CycleStatus::Running);
 
   uint64_t Pad = Config.HeapLimitBytes - H.residentBytes() + 1;
   Object *Big = H.tryAllocate(0, static_cast<uint32_t>(Pad));
   ASSERT_NE(Big, nullptr);
 
-  EXPECT_FALSE(H.incrementalScavengeActive());
+  EXPECT_EQ(H.incrementalScavengeStep(), CycleStatus::Aborted);
   EXPECT_EQ(eventsOf(H, DegradationKind::CycleAccelerated), 1u);
   EXPECT_EQ(eventsOf(H, DegradationKind::CycleCompletedEarly), 0u);
   EXPECT_EQ(eventsOf(H, DegradationKind::CycleAborted), 1u);
@@ -399,21 +471,19 @@ TEST(WatchdogTest, ConsecutiveViolationsDegradeToSerialTracing) {
   buildWorkload(H, Scope);
 
   H.beginIncrementalScavenge(0);
-  ASSERT_FALSE(H.incrementalScavengeStep());
+  ASSERT_EQ(H.incrementalScavengeStep(), CycleStatus::Running);
   IncrementalCycleInfo AfterOne = H.incrementalCycleInfo();
   EXPECT_EQ(AfterOne.WatchdogViolations, 1u);
   EXPECT_LT(AfterOne.BudgetBytes, 500u); // Halved by the backoff.
   EXPECT_FALSE(AfterOne.SerialDegraded);
 
-  ASSERT_FALSE(H.incrementalScavengeStep());
-  ASSERT_FALSE(H.incrementalScavengeStep());
+  ASSERT_EQ(H.incrementalScavengeStep(), CycleStatus::Running);
+  ASSERT_EQ(H.incrementalScavengeStep(), CycleStatus::Running);
   IncrementalCycleInfo AfterThree = H.incrementalCycleInfo();
   EXPECT_EQ(AfterThree.WatchdogViolations, 3u);
   EXPECT_TRUE(AfterThree.SerialDegraded);
 
-  while (!H.incrementalScavengeStep()) {
-  }
-  EXPECT_FALSE(H.incrementalScavengeActive());
+  EXPECT_EQ(H.finishIncrementalScavenge(), CycleStatus::Completed);
   bool SawSerial = false;
   for (const DegradationEvent &Event : H.degradationLog())
     SawSerial |= Event.Kind == DegradationKind::WatchdogDeadline &&
@@ -445,9 +515,9 @@ TEST(WatchdogTest, AbortResetsWatchdogState) {
 
   H.beginIncrementalScavenge(0);
   for (int Step = 0; Step != 3; ++Step)
-    ASSERT_FALSE(H.incrementalScavengeStep());
+    ASSERT_EQ(H.incrementalScavengeStep(), CycleStatus::Running);
   ASSERT_TRUE(H.incrementalCycleInfo().SerialDegraded);
-  H.abortIncrementalScavenge();
+  ASSERT_EQ(H.abortIncrementalScavenge(), CycleStatus::Aborted);
 
   // A fresh cycle starts with a clean slate: full budget, no serial
   // degrade, zero violations.
@@ -456,7 +526,6 @@ TEST(WatchdogTest, AbortResetsWatchdogState) {
   EXPECT_EQ(Fresh.WatchdogViolations, 0u);
   EXPECT_FALSE(Fresh.SerialDegraded);
   EXPECT_EQ(Fresh.BudgetBytes, 500u);
-  while (!H.incrementalScavengeStep()) {
-  }
+  EXPECT_EQ(H.finishIncrementalScavenge(), CycleStatus::Completed);
   expectVerifies(H);
 }

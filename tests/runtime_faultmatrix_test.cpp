@@ -32,9 +32,9 @@ namespace {
 /// fault sites guard: a stepped cycle with mid-cycle mutation, an explicit
 /// abort, mid-cycle allocation pressure (the accelerate / complete-now /
 /// abort ladder), and a final full collection. The control flow tolerates
-/// an injected fault at any point — a step may report completion because
-/// the cycle aborted, pressure may drain or cancel the cycle — so the
-/// same code path runs for the reference and every injected variant.
+/// an injected fault at any point — a step may abort the cycle, pressure
+/// may drain or cancel it — so the same code path runs for the reference
+/// and every injected variant.
 void runScenario(unsigned Lanes) {
   HeapConfig Config;
   Config.TriggerBytes = 0;
@@ -67,7 +67,7 @@ void runScenario(unsigned Lanes) {
   // between quanta that only the insertion barrier keeps sound.
   H.beginIncrementalScavenge(0);
   int Steps = 0;
-  while (!H.incrementalScavengeStep()) {
+  while (H.incrementalScavengeStep() == CycleStatus::Running) {
     if (++Steps == 2) {
       Object *&Fresh = Scope.slot(H.allocate(1, 0));
       H.writeSlot(Fresh, 0, H.allocate(0, 40));
@@ -75,19 +75,19 @@ void runScenario(unsigned Lanes) {
   }
   Verify("after stepped cycle");
 
-  // Phase 2: partial progress, then an explicit abort.
+  // Phase 2: partial progress, then an explicit abort. Had the step
+  // closed the cycle (an injected step fault), the abort returns how it
+  // closed and does nothing else.
   H.beginIncrementalScavenge(H.now() / 2);
   (void)H.incrementalScavengeStep();
-  if (H.incrementalScavengeActive())
-    H.abortIncrementalScavenge();
+  ASSERT_NE(H.abortIncrementalScavenge(), CycleStatus::Running);
   Verify("after explicit abort");
 
   // Phase 3: allocation pressure against an open cycle — walks the
   // mid-cycle rungs (and, if they fail, the emergency ladder). The
   // allocation itself may be denied under an injected fault storm; only
   // heap soundness is asserted.
-  if (!H.incrementalScavengeActive())
-    H.beginIncrementalScavenge(0);
+  H.beginIncrementalScavenge(0);
   uint64_t Resident = H.residentBytes();
   if (Resident + 1 < Config.HeapLimitBytes)
     (void)H.tryAllocate(
@@ -150,7 +150,7 @@ void runMutatorScenario(unsigned Mutators) {
   // linking between quanta (every step is one more rendezvous).
   H.beginIncrementalScavenge(H.now() / 2);
   unsigned Step = 0;
-  while (!H.incrementalScavengeStep()) {
+  while (H.incrementalScavengeStep() == CycleStatus::Running) {
     MutatorContext &Ctx = *Contexts[Step++ % Mutators];
     size_t Idx = Ctx.allocateRooted(1, 16);
     if (Idx != 0)

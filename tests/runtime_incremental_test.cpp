@@ -130,8 +130,10 @@ TEST(IncrementalTraceTest, StepLoopMatchesMonolithicCollection) {
   EXPECT_TRUE(H.incrementalScavengeActive());
 
   size_t Steps = 0;
-  while (!H.incrementalScavengeStep())
+  CycleStatus Status;
+  while ((Status = H.incrementalScavengeStep()) == CycleStatus::Running)
     ++Steps;
+  EXPECT_EQ(Status, CycleStatus::Completed);
   EXPECT_GT(Steps, 1u);
   EXPECT_FALSE(H.incrementalScavengeActive());
 
@@ -161,14 +163,13 @@ TEST(IncrementalTraceTest, InsertionBarrierKeepsObjectMovedBehindBlack) {
   H.writeSlot(A, 0, X); // X's only reference.
 
   H.beginIncrementalScavenge(0);
-  ASSERT_FALSE(H.incrementalScavengeStep());
+  ASSERT_EQ(H.incrementalScavengeStep(), CycleStatus::Running);
 
   Object *&N = Scope.slot(H.allocate(1, 0)); // Allocated black.
   H.writeSlot(N, 0, X);                      // Barrier greys X.
   H.writeSlot(A, 0, nullptr);                // Sever the old path.
 
-  while (!H.incrementalScavengeStep()) {
-  }
+  ASSERT_EQ(H.finishIncrementalScavenge(), CycleStatus::Completed);
 
   ASSERT_TRUE(N->isAlive());
   ASSERT_EQ(N->slot(0), X);
@@ -196,14 +197,13 @@ TEST(IncrementalTraceTest, RootRescanKeepsObjectMovedToFreshHandle) {
   H.writeSlot(B, 0, Y); // Y's only reference.
 
   H.beginIncrementalScavenge(0);
-  ASSERT_FALSE(H.incrementalScavengeStep());
+  ASSERT_EQ(H.incrementalScavengeStep(), CycleStatus::Running);
 
   Object *&Fresh = Scope.slot(nullptr);
   Fresh = Y;                  // Raw root store: no barrier.
   H.writeSlot(B, 0, nullptr); // Sever the old path.
 
-  while (!H.incrementalScavengeStep()) {
-  }
+  ASSERT_EQ(H.finishIncrementalScavenge(), CycleStatus::Completed);
 
   EXPECT_TRUE(Y->isAlive());
   EXPECT_EQ(Fresh, Y);
@@ -217,13 +217,12 @@ TEST(IncrementalTraceTest, MidCycleAllocationsAreBlackForOneCycle) {
   buildWorkload(H, Scope);
 
   H.beginIncrementalScavenge(0);
-  ASSERT_FALSE(H.incrementalScavengeStep());
+  ASSERT_EQ(H.incrementalScavengeStep(), CycleStatus::Running);
 
   // Unrooted garbage allocated mid-cycle: allocate-black means this cycle
   // must not reclaim it...
   Object *Garbage = H.allocate(0, 32);
-  while (!H.incrementalScavengeStep()) {
-  }
+  ASSERT_EQ(H.finishIncrementalScavenge(), CycleStatus::Completed);
   EXPECT_TRUE(Garbage->isAlive());
 
   // ...but the next full collection does.
@@ -241,12 +240,12 @@ TEST(IncrementalTraceTest, CollectDrainsActiveIncrementalCycleFirst) {
   buildWorkload(H, Scope);
 
   H.beginIncrementalScavenge(0);
-  ASSERT_FALSE(H.incrementalScavengeStep());
+  ASSERT_EQ(H.incrementalScavengeStep(), CycleStatus::Running);
 
   // A full collection request first finishes the in-flight cycle (its own
-  // record), then runs the requested one.
+  // record), then runs the requested one. The drained cycle says so.
   H.collectAtBoundary(0);
-  EXPECT_FALSE(H.incrementalScavengeActive());
+  EXPECT_EQ(H.incrementalScavengeStep(), CycleStatus::Completed);
   EXPECT_EQ(H.history().size(), 2u);
 }
 
@@ -262,7 +261,7 @@ TEST(IncrementalTraceTest, AutomaticTriggersSuspendDuringIncrementalCycle) {
   H.writeSlot(Root, 0, H.allocate(0, 32));
 
   H.beginIncrementalScavenge(0);
-  ASSERT_FALSE(H.incrementalScavengeStep());
+  ASSERT_EQ(H.incrementalScavengeStep(), CycleStatus::Running);
   size_t Before = H.history().size();
 
   // Blow well past the trigger: the allocation-driven collection must stay
@@ -272,8 +271,7 @@ TEST(IncrementalTraceTest, AutomaticTriggersSuspendDuringIncrementalCycle) {
   EXPECT_EQ(H.history().size(), Before);
   EXPECT_TRUE(H.incrementalScavengeActive());
 
-  while (!H.incrementalScavengeStep()) {
-  }
+  ASSERT_EQ(H.finishIncrementalScavenge(), CycleStatus::Completed);
   size_t AfterFinish = H.history().size();
   EXPECT_EQ(AfterFinish, Before + 1);
 

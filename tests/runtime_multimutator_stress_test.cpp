@@ -3,10 +3,11 @@
 // N real mutator threads against one heap: seeded per-thread op streams
 // (allocate, link own objects, publish through cross-thread mailboxes,
 // drop roots, poll safepoints) drive repeated trigger-scavenges while the
-// main thread runs the full verifier battery at safepoints and steps one
-// incremental cycle through the concurrent mutation. A chaos variant
-// re-runs the mill under per-thread fault injectors. Mark-sweep only:
-// raw Object* values shared through mailboxes rely on objects not moving.
+// main thread runs the full verifier battery at safepoints, paced by the
+// allocation clock, and steps one incremental cycle through the concurrent
+// mutation. A chaos variant re-runs the mill under per-thread fault
+// injectors. Mark-sweep only: raw Object* values shared through mailboxes
+// rely on objects not moving.
 //
 // Replay a failure with DTB_TEST_SEED=<seed> (see tests/TestSeeds.h).
 //
@@ -26,6 +27,8 @@
 
 #include <array>
 #include <atomic>
+#include <chrono>
+#include <limits>
 #include <memory>
 #include <thread>
 #include <vector>
@@ -48,11 +51,14 @@ struct StressOptions {
 /// MutatorContext, all object references are re-read from root slots (no
 /// raw pointer outlives the op that fetched it, except mailbox objects,
 /// which are immortal), and allocation+rooting is one counted-in op so a
-/// concurrent trigger collection can never reclaim a newborn.
+/// concurrent trigger collection can never reclaim a newborn. Between ops
+/// the worker waits while the allocation clock is at or past \p Gate, the
+/// main thread's pacing mark.
 void workerMill(Heap &H, unsigned Index, const StressOptions &Options,
                 std::array<std::atomic<Object *>, NumThreads> &Mailboxes,
                 std::atomic<unsigned> &MailboxesReady,
-                std::atomic<unsigned> &Finished) {
+                std::atomic<unsigned> &Finished,
+                const std::atomic<core::AllocClock> &Gate) {
   std::unique_ptr<FaultInjector> Injector;
   std::unique_ptr<FaultInjectionScope> Faults;
   if (Options.Chaos) {
@@ -112,6 +118,8 @@ void workerMill(Heap &H, unsigned Index, const StressOptions &Options,
       Ctx.truncateRoots(FirstChurnRoot + 16);
 
     Ctx.safepoint();
+    while (H.now() >= Gate.load(std::memory_order_acquire))
+      std::this_thread::sleep_for(std::chrono::microseconds(20));
   }
 
   // Hold the context (and therefore the mailbox root) alive until every
@@ -150,11 +158,16 @@ void runStress(const StressOptions &Options) {
   std::array<std::atomic<Object *>, NumThreads> Mailboxes{};
   std::atomic<unsigned> MailboxesReady{0};
   std::atomic<unsigned> Finished{0};
+  // Mid-run batteries come every BatteryBytes of allocation. The workers
+  // hold at Gate until the main thread moves it, so the mill cannot run
+  // past a battery however late that thread is scheduled.
+  const uint64_t BatteryBytes = Config.TriggerBytes / 4;
+  std::atomic<core::AllocClock> Gate{BatteryBytes};
   std::vector<std::thread> Workers;
   for (unsigned I = 0; I != NumThreads; ++I)
     Workers.emplace_back(workerMill, std::ref(H), I, std::cref(Options),
                          std::ref(Mailboxes), std::ref(MailboxesReady),
-                         std::ref(Finished));
+                         std::ref(Finished), std::cref(Gate));
 
   // Runs the verifier at a safepoint; returns the scavenges recorded so far.
   auto verifyBattery = [&](const char *Where) {
@@ -169,36 +182,40 @@ void runStress(const StressOptions &Options) {
     return Scavenges;
   };
 
+  auto millFinished = [&] {
+    return Finished.load(std::memory_order_acquire) == NumThreads;
+  };
   while (MailboxesReady.load(std::memory_order_acquire) != NumThreads)
     std::this_thread::yield();
 
   // Verifier battery against live mutation, until the mill has driven two
   // trigger scavenges: each crossing runs exactly one collection, and the
   // open incremental cycle below suspends the trigger, so opening it early
-  // on a slow (sanitized) run could leave the mill without any.
+  // on a slow (sanitized) run could leave the mill without any. A battery
+  // holds every worker at count-in, so between batteries the mill runs
+  // free up to the gate: back-to-back stops would let it advance barely
+  // an op per stop.
   size_t Scavenges = 0;
-  for (int Round = 0;
-       Round < 8 || (Scavenges < 2 &&
-                     Finished.load(std::memory_order_acquire) != NumThreads);
+  for (int Round = 0; Round < 8 || (Scavenges < 2 && !millFinished());
        ++Round) {
+    while (H.now() < Gate.load(std::memory_order_acquire) && !millFinished())
+      std::this_thread::yield();
+    Gate.store(H.now() + BatteryBytes, std::memory_order_release);
     Scavenges = verifyBattery("mid-run safepoint");
-    std::this_thread::yield();
   }
+  Gate.store(std::numeric_limits<core::AllocClock>::max(),
+             std::memory_order_release);
 
   // One incremental cycle stepped through the concurrent mutation: every
   // quantum stops the world, drains the contexts' grey buffers, and
   // resumes. Workers terminate, so the grey backlog drains eventually.
   // In the chaos variant a worker's injected allocation fault may walk the
-  // mid-cycle pressure rungs and close the cycle between two steps; the
-  // next step then reports it over (AbortTest covers this
-  // deterministically).
-  size_t ScavengesBefore = 0;
+  // mid-cycle pressure rungs, whose accelerate rung can complete the cycle
+  // between two steps; the next step returns Completed all the same.
+  CycleStatus Cycle = CycleStatus::Running;
   if (Options.DriveIncrementalCycle) {
-    H.runAtSafepoint([&](Heap &Stopped) {
-      ScavengesBefore = Stopped.history().records().size();
-    });
     H.beginIncrementalScavenge(H.now() / 2);
-    while (!H.incrementalScavengeStep())
+    while ((Cycle = H.incrementalScavengeStep()) == CycleStatus::Running)
       verifyBattery("between incremental quanta");
     verifyBattery("after incremental cycle");
   }
@@ -207,12 +224,11 @@ void runStress(const StressOptions &Options) {
     Worker.join();
 
   // The scavenge floor: the mill must have driven at least two full
-  // trigger-scavenges, plus the incremental cycle's record.
+  // trigger-scavenges, and the incremental cycle appended its record.
   EXPECT_GE(H.history().records().size(), 2u)
       << "mill too small to exercise repeated scavenges";
   if (Options.DriveIncrementalCycle) {
-    EXPECT_FALSE(H.incrementalScavengeActive());
-    EXPECT_GE(H.history().records().size(), ScavengesBefore + 1);
+    EXPECT_EQ(Cycle, CycleStatus::Completed);
   }
 
   // With the contexts gone nothing roots the mill's objects: one full
