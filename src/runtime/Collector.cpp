@@ -455,8 +455,8 @@ void Heap::finishMarkSweepCycle(AllocClock Boundary, AllocClock BlackClock,
     size_t Out = Begin;
     Demographics.beginScavenge(Boundary);
     for (size_t I = Begin, E = Objects.size(); I != E; ++I) {
-      if (I + SweepPrefetchDistance < E)
-        prefetchHeader(Objects[I + SweepPrefetchDistance]);
+      if (I + ScanPrefetchDistance < E)
+        prefetchHeader(Objects[I + ScanPrefetchDistance]);
       Object *O = Objects[I];
       if (O->birth() > BlackClock) {
         // Allocate-black: born during the incremental cycle.

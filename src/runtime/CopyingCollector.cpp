@@ -25,7 +25,8 @@
 // original's shape word and publishes it by setting the forwarded bit
 // with release ordering; losers acquire-spin on that bit. Which lane wins
 // is scheduling-dependent; what is copied, accounted, and published is
-// not.
+// not. The root and remembered-set scans run before any round fans out,
+// so they claim and publish with plain stores through the same copy body.
 //
 //===----------------------------------------------------------------------===//
 
@@ -61,38 +62,25 @@ Heap::ScavengeWork Heap::runCopying(AllocClock Boundary) {
     return LaneBlocks[static_cast<size_t>(&Lane - &Lanes.lane(0))];
   };
 
-  // Evacuates a threatened object (or visits it in place when pinned) and
-  // returns its post-collection address. Safe from any lane: the claim
-  // bit admits exactly one winner, losers wait for the winner's publish.
-  auto relocate = [&](Object *O, TraceLane &Lane) -> Object * {
+  // The copy body both claim rules share: accounts a threatened object
+  // its caller has just claimed and returns where it lives after the
+  // collection; the caller publishes that address. A pinned object is
+  // traced in place and keeps its address. Any other is cloned — identical
+  // header (birth included) and payload — into the lane's evacuation
+  // block, unless it is over the block size rule. The header is copied
+  // field by field rather than memcpy'd: in a round, losing lanes may
+  // still be doing atomic claim RMWs on the original's flag byte, and a
+  // plain whole-header read would race with them.
+  auto evacuate = [&](Object *O, bool Pinned, TraceLane &Lane) -> Object * {
     assert(isThreatened(O) && "relocating an immune object");
     assert(O->isAlive() && "relocating a reclaimed object");
-    if (!O->tryAcquireFlag(Object::FlagClaimed)) {
-      // Another lane owns the evacuation; its publish is imminent.
-      Object *Published = O->relocation();
-      while (!Published) {
-        std::this_thread::yield();
-        Published = O->relocation();
-      }
-      return Published;
-    }
     const uint32_t Gross = O->grossBytes();
     Lane.TracedBytes += Gross;
     Lane.ObjectsTraced += 1;
-    if (isPinned(O)) {
-      // Pinned objects are traced in place and keep their address; the
-      // mark bit records the in-place survival for the sweep and, set
-      // last, publishes it to losing lanes.
+    if (Pinned) {
       Lane.addChild(O);
-      O->setFlagAtomic(Object::FlagMarked);
       return O;
     }
-    // Clone: identical header (birth included) and payload, bumped into
-    // the lane's evacuation block unless the object is over the block
-    // size rule. The header is copied field by field rather than memcpy'd
-    // — losing lanes may still be doing atomic claim RMWs on the
-    // original's flag byte, and a plain whole-header read would race with
-    // them.
     uint64_t Need = blockFootprint(Gross);
     bool InBlock = fitsBlock(Need);
     TlabBlock *&Block = laneBlock(Lane);
@@ -108,11 +96,51 @@ Heap::ScavengeWork Heap::runCopying(AllocClock Boundary) {
                 static_cast<const void *>(O + 1), Gross - sizeof(Object));
     Lane.ObjectsMoved += 1;
     Lane.addChild(Copy);
-    // Publish: the copy's address overwrites the shape word just copied;
-    // the forwarded bit, set with release ordering, makes it visible.
-    O->Shape = reinterpret_cast<uintptr_t>(Copy);
-    O->setFlagAtomic(Object::FlagForwarded);
     return Copy;
+  };
+
+  // The claim rule of the root and remembered-set scans. They run on this
+  // thread before any round fans out, so no lane can race them: plain
+  // loads and stores claim and publish, as mark-sweep's markThreatened
+  // marks. An object already claimed has its address in its header.
+  auto relocateSerial = [&](Object *O) -> Object * {
+    if (O->Flags & Object::FlagClaimed)
+      return O->relocationFrom(O->Flags);
+    Object *To = evacuate(O, O->isPinned(), Lanes.serialLane());
+    if (To == O) {
+      O->Flags |= Object::FlagClaimed | Object::FlagMarked;
+      return O;
+    }
+    O->Shape = reinterpret_cast<uintptr_t>(To);
+    O->Flags |= Object::FlagClaimed | Object::FlagForwarded;
+    return To;
+  };
+
+  // The claim rule of the rounds, whether they fan out or run inline:
+  // lanes race a fetch_or on the claim bit, which admits exactly one
+  // winner; losers wait for the winner's publish. The winner publishes a
+  // copy by writing its address over the shape word and then setting the
+  // forwarded bit with release ordering, a pinned object by setting the
+  // mark bit.
+  auto relocate = [&](Object *O, TraceLane &Lane) -> Object * {
+    const uint8_t Prior = O->fetchSetFlag(Object::FlagClaimed);
+    if (Prior & Object::FlagClaimed) {
+      // Another lane owns the evacuation; its publish is imminent.
+      Object *Published = O->relocation();
+      while (!Published) {
+        std::this_thread::yield();
+        Published = O->relocation();
+      }
+      return Published;
+    }
+    Object *To = evacuate(O, Prior & Object::FlagPinned, Lane);
+    if (To == O) {
+      O->setFlagAtomic(Object::FlagMarked);
+      return O;
+    }
+    O->Shape = reinterpret_cast<uintptr_t>(To);
+    O->setFlagAtomic(Object::FlagForwarded);
+    return To;
   };
 
   // Scan body for the parallel rounds: fix up one copy's (or pinned
@@ -135,14 +163,15 @@ Heap::ScavengeWork Heap::runCopying(AllocClock Boundary) {
   // Phase costs mirror the mark-sweep strategy: bytes evacuated during
   // each phase (the Work.TracedBytes delta); the transitive scan is the
   // promote phase — it is where survivors get copied out of the region.
-  // Root and remset scans run serially on lane 0, drained per phase so
-  // each phase's cost is exactly the bytes it discovered.
+  // Root and remset scans run serially on lane 0 with plain claims,
+  // drained per phase so each phase's cost is exactly the bytes it
+  // discovered.
   {
     profiling::ProfilePhase Phase(&Profiler, profiling::phase::RootScan);
     uint64_t Before = Work.TracedBytes;
     forEachRoot([&](Object *&Root) {
       if (isThreatened(Root))
-        Root = relocate(Root, Lanes.serialLane());
+        Root = relocateSerial(Root);
     });
     drainTraceLanes(Lanes, Gray, Work);
     Phase.addCost(Work.TracedBytes - Before);
@@ -156,7 +185,7 @@ Heap::ScavengeWork Heap::runCopying(AllocClock Boundary) {
     uint64_t Before = Work.TracedBytes;
     forEachCrossing(Boundary, [&](Object *Source, uint32_t SlotIndex,
                                   Object *Target) {
-      Source->setSlotRaw(SlotIndex, relocate(Target, Lanes.serialLane()));
+      Source->setSlotRaw(SlotIndex, relocateSerial(Target));
     });
     drainTraceLanes(Lanes, Gray, Work);
     Phase.addCost(Work.TracedBytes - Before);
@@ -208,8 +237,8 @@ Heap::ScavengeWork Heap::runCopying(AllocClock Boundary) {
     uint64_t Survivors = 0;
     Demographics.beginScavenge(Boundary);
     for (size_t I = Out, E = Objects.size(); I != E; ++I) {
-      if (I + SweepPrefetchDistance < E)
-        prefetchHeader(Objects[I + SweepPrefetchDistance]);
+      if (I + ScanPrefetchDistance < E)
+        prefetchHeader(Objects[I + ScanPrefetchDistance]);
       Object *O = Objects[I];
       if (Object *Survivor = O->relocation()) {
         Survivors += 1;

@@ -291,8 +291,10 @@ void Heap::dangerouslyWriteSlotWithoutBarrier(Object *Source,
 
 void Heap::pinObject(Object *O) {
   DTB_CHECK(O && O->isAlive(), "pinning a dead object");
-  if (!isPinned(O))
-    Pinned.push_back(O);
+  if (O->isPinned())
+    return;
+  O->Flags |= Object::FlagPinned;
+  Pinned.push_back(O);
 }
 
 void Heap::unpinObject(Object *O) {
@@ -300,10 +302,7 @@ void Heap::unpinObject(Object *O) {
   if (It == Pinned.end())
     fatalError("unpinning an object that was never pinned");
   Pinned.erase(It);
-}
-
-bool Heap::isPinned(const Object *O) const {
-  return std::find(Pinned.begin(), Pinned.end(), O) != Pinned.end();
+  O->Flags &= static_cast<uint8_t>(~Object::FlagPinned);
 }
 
 void Heap::addGlobalRoot(Object **Location) {

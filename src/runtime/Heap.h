@@ -271,10 +271,12 @@ public:
   /// alive). This is the hook the paper's related-work section describes
   /// for handing objects to a Mature Object Space / Key Object collector
   /// once age stops predicting death for them. Unpinning returns the
-  /// object to ordinary age-based collection.
+  /// object to ordinary age-based collection. The pin is a header bit
+  /// (Object::FlagPinned), so a collection tests it in constant time;
+  /// pinnedObjects() lists the pinned objects as roots.
   void pinObject(Object *O);
   void unpinObject(Object *O);
-  bool isPinned(const Object *O) const;
+  bool isPinned(const Object *O) const { return O->isPinned(); }
   const std::vector<Object *> &pinnedObjects() const { return Pinned; }
 
   /// Runs a collection with the installed policy choosing the boundary.
@@ -589,9 +591,10 @@ private:
 
   /// Index of the first object born strictly after \p Boundary.
   size_t firstBornAfter(core::AllocClock Boundary) const;
-  /// How far ahead of the visited object both sweeps prefetch a header:
-  /// they walk Objects in birth order, but the headers are scattered.
-  static constexpr size_t SweepPrefetchDistance = 8;
+  /// How far ahead of the visited object both sweeps and the root scans
+  /// prefetch a header: they walk Objects in birth order and root slots
+  /// in slot order, but the headers are scattered.
+  static constexpr size_t ScanPrefetchDistance = 8;
 
   /// Byte counts a scavenging strategy reports back to collectAtBoundary.
   struct ScavengeWork {
@@ -631,6 +634,11 @@ private:
   /// then each context's roots in registration order. World stopped, so
   /// the slots are stable. Defined in runtime/Mutator.h.
   template <typename Fn> void forEachRoot(Fn &&Visit);
+  /// Calls \p Visit on each of \p Slots in order, prefetching the header
+  /// ScanPrefetchDistance slots ahead: freed slots are reused, so slot
+  /// order says nothing about address order. Defined in runtime/Mutator.h.
+  template <typename Slots, typename Fn>
+  static void visitRootSlots(Slots &Roots, Fn &Visit);
   /// Calls \p Visit(Source, SlotIndex, Target) on each remembered entry
   /// whose immune source points across boundary \p B; prunes stale ones.
   template <typename Fn> void forEachCrossing(core::AllocClock B, Fn &&Visit);

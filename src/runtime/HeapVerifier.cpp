@@ -91,6 +91,18 @@ VerifyResult dtb::runtime::verifyHeap(const Heap &H) {
   // counted out of a copy of that block's live count.
   IncrementalCycleInfo Cycle = H.incrementalCycleInfo();
   std::vector<Heap::BlockInfo> Blocks = H.blockTable();
+  // The pin is a header bit backed by the pinned root list: each listed
+  // object appears once and carries the bit, and each resident object
+  // carrying it is listed. (A listed object with a dead canary is reported
+  // with the roots below.)
+  std::unordered_set<const Object *> PinnedListed;
+  for (const Object *O : H.pinnedObjects()) {
+    if (!PinnedListed.insert(O).second)
+      Result.fail(describeObject(O) + " is listed as pinned twice");
+    else if (O->isAlive() && !O->isPinned())
+      Result.fail(describeObject(O) +
+                  " is listed as pinned but lacks the pinned bit");
+  }
   std::unordered_set<const Object *> Resident;
   core::AllocClock PrevBirth = 0;
   uint64_t ByteTotal = 0;
@@ -114,6 +126,9 @@ VerifyResult dtb::runtime::verifyHeap(const Heap &H) {
                     " is marked but lies outside the open cycle's "
                     "threatened window");
     }
+    if (O->isPinned() && !PinnedListed.count(O))
+      Result.fail(describeObject(O) +
+                  " carries the pinned bit but is not listed as pinned");
     if (O->storageKind() == Object::StorageTlab) {
       const char *P = reinterpret_cast<const char *>(O);
       Heap::BlockInfo *Block =

@@ -11,9 +11,10 @@
 ///
 ///  * structural invariants — birth-ordered allocation list, consistent
 ///    byte accounting, live canaries, in-range slot pointers, no stray
-///    trace flags, and block identity (a block-interior object lies in
-///    the block its header names, and each block counts exactly the
-///    resident objects that name it);
+///    trace flags, pins (an object carries the pinned bit exactly when
+///    the pinned list names it), and block identity (a block-interior
+///    object lies in the block its header names, and each block counts
+///    exactly the resident objects that name it);
 ///  * safety — every reachable object is alive and resident (a reclaimed
 ///    reachable object is the collector's cardinal sin);
 ///  * write-barrier completeness — every forward-in-time pointer in the

@@ -48,6 +48,7 @@
 #include "support/FaultInjector.h"
 #include "telemetry/Telemetry.h"
 
+#include <algorithm>
 #include <atomic>
 #include <cassert>
 #include <cstdint>
@@ -212,17 +213,27 @@ private:
   Stats S;
 };
 
+template <typename Slots, typename Fn>
+void Heap::visitRootSlots(Slots &Roots, Fn &Visit) {
+  auto Ahead = Roots.begin(), End = Roots.end();
+  Ahead += static_cast<ptrdiff_t>(
+      std::min(Roots.size(), ScanPrefetchDistance));
+  for (Object *&Root : Roots) {
+    if (Ahead != End)
+      prefetchHeader(*Ahead++);
+    Visit(Root);
+  }
+}
+
 template <typename Fn> void Heap::forEachRoot(Fn &&Visit) {
   for (Object **Root : GlobalRoots)
     Visit(*Root);
-  for (Object *&Handle : HandleSlots)
-    Visit(Handle);
+  visitRootSlots(HandleSlots, Visit);
   // Pinned objects never move, so a write back to their slot is a no-op.
   for (Object *&PinnedObject : Pinned)
     Visit(PinnedObject);
   for (MutatorContext *Ctx : Mutators)
-    for (Object *&Root : Ctx->Roots)
-      Visit(Root);
+    visitRootSlots(Ctx->Roots, Visit);
 }
 
 // Entries are re-validated against the live slot contents: ones that no

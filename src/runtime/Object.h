@@ -48,6 +48,10 @@ public:
     /// Magic, Storage, Block and Birth stay readable. Cleared at release.
     FlagForwarded = 1u << 2,
     TraceFlags = FlagMarked | FlagClaimed | FlagForwarded,
+    /// Heap::pinObject set it and unpinObject clears it, both outside
+    /// collections; no sweep or abort clears it, and a collection only
+    /// reads it (a pinned object is traced in place, never copied).
+    FlagPinned = 1u << 3,
   };
 
   /// Where the object's storage came from — decides how releaseStorage
@@ -93,6 +97,7 @@ public:
 
   bool isAlive() const { return Magic == MagicAlive; }
   bool isMarked() const { return (Flags & FlagMarked) != 0; }
+  bool isPinned() const { return (Flags & FlagPinned) != 0; }
   /// Raw trace bits, for the verifier's flag-hygiene check (no resident
   /// object may carry any of them outside a collection).
   uint8_t traceFlags() const { return Flags & TraceFlags; }
@@ -131,15 +136,18 @@ private:
   void setMarked() { Flags |= FlagMarked; }
   void clearMarked() { Flags &= static_cast<uint8_t>(~FlagMarked); }
 
-  /// Atomically sets \p Flag on the header; returns true iff this call is
-  /// the one that set it (the caller "claimed" the object). Parallel trace
-  /// lanes race this on FlagMarked (mark-sweep) or FlagClaimed (copying);
-  /// all flag mutations during a parallel phase must go through the
-  /// atomic helpers so plain and concurrent accesses never mix.
-  bool tryAcquireFlag(uint8_t Flag) {
+  /// Atomically sets \p Flag on the header and returns the flags as they
+  /// were: the caller "claimed" the object iff \p Flag was clear, and the
+  /// other bits (FlagPinned) come with the same read-modify-write.
+  /// Parallel trace rounds race this on FlagMarked (mark-sweep) or
+  /// FlagClaimed (copying); all flag mutations during a round must go
+  /// through the atomic helpers so plain and concurrent accesses never
+  /// mix. Phases that run while no lane does may use plain stores.
+  uint8_t fetchSetFlag(uint8_t Flag) {
     std::atomic_ref<uint8_t> F(Flags);
-    return (F.fetch_or(Flag, std::memory_order_acq_rel) & Flag) == 0;
+    return F.fetch_or(Flag, std::memory_order_acq_rel);
   }
+  bool tryAcquireFlag(uint8_t Flag) { return (fetchSetFlag(Flag) & Flag) == 0; }
 
   /// Atomically sets \p Flag without caring who wins (e.g. a claiming lane
   /// also marking a pinned object it traces in place).
@@ -153,7 +161,11 @@ private:
   /// place, else null (not yet published; after the trace, dead). The
   /// acquire load lets a lane that lost the claim wait on it.
   Object *relocation() {
-    uint8_t F = std::atomic_ref<uint8_t>(Flags).load(std::memory_order_acquire);
+    return relocationFrom(
+        std::atomic_ref<uint8_t>(Flags).load(std::memory_order_acquire));
+  }
+  /// relocation() as the flags \p F, already read, say.
+  Object *relocationFrom(uint8_t F) {
     if (F & FlagForwarded)
       return reinterpret_cast<Object *>(Shape);
     return (F & FlagMarked) ? this : nullptr;

@@ -254,6 +254,75 @@ MixedRoundsRun collectMixedRounds(CollectorKind Kind, unsigned Lanes,
   return Run;
 }
 
+/// One copying collection in which every threatened object has two
+/// referents, \p Sets times over: one object is named from two handle
+/// slots, one from a handle and an immune source's remembered-set entry,
+/// and one from a pinned object's slot and a handle. Each must be copied
+/// once, with every reference forwarded to the copy; the pinned objects
+/// stay in place.
+RunResult collectSharedReferents(unsigned Lanes, uint32_t Sets) {
+  HeapConfig Config;
+  Config.TriggerBytes = 0;
+  Config.Collector = CollectorKind::Copying;
+  Config.TraceThreads = Lanes;
+  Config.QuarantineFreedObjects = true;
+  Heap H(Config);
+  HandleScope Scope(H);
+
+  std::vector<Object **> Immune;
+  for (uint32_t I = 0; I != Sets; ++I)
+    Immune.push_back(&Scope.slot(H.allocate(1, 8)));
+  const core::AllocClock Boundary = H.now();
+
+  struct SharedSet {
+    Object **TwoHandles[2];
+    Object **HandleAndRemSet;
+    Object **HandleAndPinned;
+    Object *Pinned;
+  };
+  std::vector<SharedSet> Shared;
+  for (uint32_t I = 0; I != Sets; ++I) {
+    SharedSet Set;
+    Object *Twice = H.allocate(0, 16 + I % 24);
+    Set.TwoHandles[0] = &Scope.slot(Twice);
+    Set.TwoHandles[1] = &Scope.slot(Twice);
+    Object *Remembered = H.allocate(0, 24 + I % 16);
+    Set.HandleAndRemSet = &Scope.slot(Remembered);
+    H.writeSlot(*Immune[I], 0, Remembered); // Forward in time: remembered.
+    Object *Held = H.allocate(0, 32 + I % 8);
+    Set.HandleAndPinned = &Scope.slot(Held);
+    Set.Pinned = H.allocate(1, 8);
+    H.writeSlot(Set.Pinned, 0, Held); // Backward in time.
+    H.pinObject(Set.Pinned);
+    H.allocate(0, 16); // Garbage.
+    Shared.push_back(Set);
+  }
+
+  H.collectAtBoundary(Boundary);
+  const CollectionStats &Stats = H.lastCollectionStats();
+  EXPECT_EQ(Stats.ObjectsMoved, 3u * Sets) << "a shared referent was copied "
+                                              "more or less than once";
+  EXPECT_EQ(Stats.ObjectsTraced, 4u * Sets);
+  EXPECT_EQ(Stats.RememberedSetRoots, Sets);
+  for (uint32_t I = 0; I != Sets; ++I) {
+    const SharedSet &Set = Shared[I];
+    EXPECT_EQ(*Set.TwoHandles[0], *Set.TwoHandles[1]);
+    EXPECT_EQ((*Immune[I])->slot(0), *Set.HandleAndRemSet);
+    EXPECT_EQ(Set.Pinned->slot(0), *Set.HandleAndPinned);
+    EXPECT_TRUE(Set.Pinned->isAlive());
+    EXPECT_TRUE(H.isPinned(Set.Pinned));
+    for (Object *Copy : {*Set.TwoHandles[0], *Set.HandleAndRemSet,
+                         *Set.HandleAndPinned})
+      EXPECT_TRUE(Copy->isAlive()) << "a reference names a released original";
+  }
+  EXPECT_EQ(H.pinnedObjects().size(), Sets);
+  VerifyResult Verified = verifyHeap(H);
+  EXPECT_TRUE(Verified.Ok) << (Verified.Problems.empty()
+                                   ? ""
+                                   : Verified.Problems.front());
+  return snapshot(H);
+}
+
 } // namespace
 
 TEST(ParallelTraceTest, MarkSweepGhostRunIsLaneCountInvariant) {
@@ -410,6 +479,16 @@ TEST(ParallelTraceTest, PinnedObjectsTracedInPlaceUnderLanes) {
   EXPECT_TRUE(Verified.Ok) << (Verified.Problems.empty()
                                    ? ""
                                    : Verified.Problems.front());
+}
+
+TEST(ParallelTraceTest, SharedReferentsAreCopiedOnceAtAnyLaneCount) {
+  // 100 sets put 100 pinned objects in one round, enough to fan out.
+  for (uint32_t Sets : {1u, 100u}) {
+    SCOPED_TRACE(Sets);
+    RunResult Serial = collectSharedReferents(1, Sets);
+    RunResult Parallel = collectSharedReferents(3, Sets);
+    expectIdentical(Serial, Parallel);
+  }
 }
 
 TEST(ParallelTraceTest, WeakRefsFollowParallelEvacuation) {

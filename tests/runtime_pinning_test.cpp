@@ -11,6 +11,8 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 using namespace dtb;
 using namespace dtb::runtime;
 
@@ -113,4 +115,63 @@ TEST(PinningTest, VerifierTreatsPinnedAsRoots) {
                                  ? ""
                                  : Result.Problems.front());
   EXPECT_EQ(reachableBytes(H), H.residentBytes());
+}
+
+TEST(PinningTest, ThousandsOfPinnedAmongEvacuatedKeepTheirAddresses) {
+  // A copying collection tests each claimed object's pin, so with
+  // thousands pinned every pinned object must stay put while every other
+  // survivor moves. Unpinning clears the bit, and the next collection
+  // moves the formerly pinned objects too.
+  HeapConfig Config = quarantineConfig();
+  Config.Collector = CollectorKind::Copying;
+  Heap H(Config);
+  HandleScope Scope(H);
+  constexpr size_t Count = 6'000;
+  std::vector<Object **> Roots;
+  std::vector<Object *> PinnedAt;
+  for (size_t I = 0; I != Count; ++I) {
+    Object *&Root = Scope.slot(H.allocate(1, 8 + I % 40));
+    H.writeSlot(Root, 0, H.allocate(0, 16));
+    H.allocate(0, 24); // Garbage.
+    Roots.push_back(&Root);
+    if (I % 2 == 0) {
+      H.pinObject(Root);
+      PinnedAt.push_back(Root);
+    }
+  }
+  ASSERT_EQ(H.pinnedObjects().size(), PinnedAt.size());
+
+  for (int Round = 0; Round != 2; ++Round) {
+    H.collectAtBoundary(0);
+    // Every unpinned root and every child moved, each exactly once.
+    EXPECT_EQ(H.lastCollectionStats().ObjectsMoved, Count / 2 + Count);
+    for (size_t I = 0; I != Count; ++I) {
+      Object *Root = *Roots[I];
+      ASSERT_TRUE(Root->isAlive());
+      ASSERT_TRUE(Root->slot(0)->isAlive());
+      EXPECT_EQ(H.isPinned(Root), I % 2 == 0);
+      if (I % 2 == 0) {
+        EXPECT_EQ(Root, PinnedAt[I / 2]) << "pinned object " << I << " moved";
+      }
+    }
+    VerifyResult Result = verifyHeap(H);
+    ASSERT_TRUE(Result.Ok) << Result.Problems.front();
+  }
+
+  for (Object *O : PinnedAt)
+    H.unpinObject(O);
+  EXPECT_TRUE(H.pinnedObjects().empty());
+  for (Object *O : PinnedAt)
+    EXPECT_FALSE(H.isPinned(O));
+  H.collectAtBoundary(0);
+  EXPECT_EQ(H.lastCollectionStats().ObjectsMoved, 2 * Count);
+  for (size_t I = 0; I != Count; I += 2) {
+    EXPECT_NE(*Roots[I], PinnedAt[I / 2]) << "unpinned object " << I
+                                          << " did not move";
+    EXPECT_FALSE(H.isPinned(*Roots[I]));
+  }
+  VerifyResult Result = verifyHeap(H);
+  EXPECT_TRUE(Result.Ok) << (Result.Problems.empty()
+                                 ? ""
+                                 : Result.Problems.front());
 }
