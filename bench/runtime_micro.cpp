@@ -86,10 +86,11 @@ BENCHMARK(BM_AllocateTLAB)->ComputeStatistics("min", minimumOf);
 
 void BM_AllocateTLABCounters(benchmark::State &State) {
   // BM_AllocateTLAB with the telemetry recorder live: the difference is
-  // the whole observability tax on the context allocation path — the
-  // per-mutator counters (TLAB refills and waste, polls) are plain fields
-  // updated in both, so what this isolates is the recorder-gated part
-  // (global alloc counters, per-mutator track emission at safepoints).
+  // the whole observability tax on the context allocation path. The
+  // allocation and refill paths write no telemetry (the heap folds the
+  // runtime.alloc.* and runtime.tlab.* counters in at each collection and
+  // at teardown), so what this isolates is the recorder-gated work left
+  // at safepoints and collections, here only at the untimed teardown.
   // CI diffs this against BM_AllocateTLAB and fails above ~1%.
   telemetry::recorder().enable();
   auto H = std::make_unique<Heap>(manualConfig());
@@ -176,9 +177,9 @@ BENCHMARK(BM_SafepointRendezvous)
 
 void BM_AllocateTelemetryEnabled(benchmark::State &State) {
   // Same loop with the recorder live: the difference from BM_Allocate is
-  // the full telemetry cost on the allocation path (two cached counter
-  // adds). BM_Allocate itself is the disabled-recorder number, where
-  // telemetry::enabled() is one relaxed load.
+  // the full telemetry cost on the allocation path, which writes none (the
+  // allocation counters fold in at collections and teardown); it should
+  // read as noise. BM_Allocate itself is the disabled-recorder number.
   telemetry::recorder().enable();
   auto H = std::make_unique<Heap>(manualConfig());
   size_t Created = 0;
@@ -200,10 +201,10 @@ BENCHMARK(BM_AllocateTelemetryEnabled)->ComputeStatistics("min", minimumOf);
 
 void BM_AllocateProfilerArmed(benchmark::State &State) {
   // BM_AllocateTelemetryEnabled with the heap's phase profiler forced on
-  // as well. The profiler instruments collector phases, not allocation, so
-  // arming it must not move this number: CI diffs the two benchmarks and
-  // fails if the profiler adds more than noise (~1%) to the allocation
-  // path.
+  // as well. Neither instruments allocation (the profiler covers collector
+  // phases, and the recorder's counters fold in at collections), so arming
+  // it must not move this number: CI diffs the two benchmarks and fails if
+  // the profiler adds more than noise (~1%) to the allocation path.
   telemetry::recorder().enable();
   auto H = std::make_unique<Heap>(manualConfig());
   H->profiler().setEnabled(true);

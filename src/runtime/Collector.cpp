@@ -21,6 +21,7 @@
 #include "runtime/Heap.h"
 
 #include "core/MachineModel.h"
+#include "core/ScavengeReport.h"
 #include "runtime/Mutator.h"
 #include "runtime/TraceLanes.h"
 #include "support/Error.h"
@@ -118,6 +119,9 @@ core::ScavengeRecord Heap::completeCollection(AllocClock Boundary,
   Profiler.finishScavenge();
   if (telemetry::enabled())
     emitScavengeTelemetry(History.last());
+  foldAllocationCounters(LastStats.ObjectsReclaimed);
+  PendingRule.clear();
+  PendingDecision = core::BoundaryDecision();
   InCollection = false;
 
   FlightRec.record(FlightEventKind::ScavengeComplete, Record.Time,
@@ -162,67 +166,20 @@ core::ScavengeRecord Heap::completeCollection(AllocClock Boundary,
 
 void Heap::emitScavengeTelemetry(const core::ScavengeRecord &Record) {
   namespace tm = dtb::telemetry;
-  const std::string &Rule =
-      PendingRule.empty() ? std::string("explicit") : PendingRule;
-
-  // Pause span: the machine model converts traced bytes to milliseconds,
-  // same as the simulator, so runtime and sim pauses are comparable.
+  // The machine model converts traced bytes to milliseconds, as the
+  // simulator does, so runtime and sim pauses are comparable.
   double PauseMs =
       core::MachineModel().pauseMillisForTracedBytes(Record.TracedBytes);
-  tm::Event Pause;
-  Pause.Phase = tm::EventPhase::Span;
-  Pause.Track = TelemetryTrack;
-  Pause.Name = "scavenge";
-  Pause.ScavengeIndex = Record.Index;
-  Pause.TsClock = Record.Time;
-  Pause.DurMillis = PauseMs;
-  Pause.Args = {
-      tm::arg("tb", Record.Boundary),
-      tm::arg("window", Record.Time - Record.Boundary),
-      tm::arg("traced_bytes", Record.TracedBytes),
-      tm::arg("reclaimed_bytes", Record.ReclaimedBytes),
-      tm::arg("survived_bytes", Record.SurvivedBytes),
-      tm::arg("mem_before_bytes", Record.MemBeforeBytes),
-      tm::arg("objects_traced", LastStats.ObjectsTraced),
-      tm::arg("objects_reclaimed", LastStats.ObjectsReclaimed),
-      tm::arg("objects_moved", LastStats.ObjectsMoved),
-      tm::arg("remset_roots", LastStats.RememberedSetRoots),
-      tm::arg("remset_pruned", LastStats.RememberedSetPruned),
-      tm::arg("remset_size", static_cast<uint64_t>(RemSet.size())),
-      tm::arg("rule", Rule),
-  };
-  tm::recorder().emit(std::move(Pause));
-
-  // TB decision instant: where the boundary landed, which policy rule put
-  // it there, and — when collect() captured one — the full decision
-  // explanation: the budgets the policy worked against, the history epoch
-  // it picked, and what it predicted the scavenge would trace and reclaim.
-  tm::Event Tb;
-  Tb.Phase = tm::EventPhase::Instant;
-  Tb.Track = TelemetryTrack;
-  Tb.Name = "tb";
-  Tb.ScavengeIndex = Record.Index;
-  Tb.TsClock = Record.Time;
-  Tb.Args = {tm::arg("tb", Record.Boundary), tm::arg("rule", Rule)};
-  if (PendingDecisionValid) {
-    const core::BoundaryDecision &D = PendingDecision;
-    if (D.TraceMaxBytes != 0)
-      Tb.Args.push_back(tm::arg("trace_max_bytes", D.TraceMaxBytes));
-    if (D.MemMaxBytes != 0)
-      Tb.Args.push_back(tm::arg("mem_max_bytes", D.MemMaxBytes));
-    if (D.CandidateEpoch >= 0)
-      Tb.Args.push_back(
-          tm::arg("candidate_epoch", static_cast<uint64_t>(D.CandidateEpoch)));
-    if (D.LiveEstimateBytes != 0)
-      Tb.Args.push_back(tm::arg("live_estimate_bytes", D.LiveEstimateBytes));
-    if (D.HasPrediction) {
-      Tb.Args.push_back(
-          tm::arg("predicted_traced_bytes", D.PredictedTracedBytes));
-      Tb.Args.push_back(
-          tm::arg("predicted_garbage_bytes", D.PredictedGarbageBytes));
-    }
-  }
-  tm::recorder().emit(std::move(Tb));
+  core::emitScavengeReport(
+      TelemetryTrack, Record, PauseMs,
+      PendingRule.empty() ? std::string("explicit") : PendingRule,
+      PendingDecision,
+      {tm::arg("objects_traced", LastStats.ObjectsTraced),
+       tm::arg("objects_reclaimed", LastStats.ObjectsReclaimed),
+       tm::arg("objects_moved", LastStats.ObjectsMoved),
+       tm::arg("remset_roots", LastStats.RememberedSetRoots),
+       tm::arg("remset_pruned", LastStats.RememberedSetPruned),
+       tm::arg("remset_size", static_cast<uint64_t>(RemSet.size()))});
 
   // Phase spans: the scavenge's cost-attribution tree as nested spans.
   // Timestamps are synthesized by laying children out inside their parent
@@ -273,6 +230,27 @@ void Heap::emitScavengeTelemetry(const core::ScavengeRecord &Record) {
   Registry.counter("runtime.scavenge.reclaimed_bytes")
       .add(Record.ReclaimedBytes);
   Registry.histogram("runtime.scavenge.pause_ms").record(PauseMs);
+}
+
+void Heap::foldAllocationCounters(uint64_t ReclaimedObjects) {
+  // With the world stopped every allocation is published, so the objects
+  // allocated since the last fold are the list's growth plus what this
+  // collection reclaimed, and their bytes are the clock's advance.
+  AllocationTally Now{Objects.size(), now(), MutStats.TlabRefills};
+  if (telemetry::enabled()) {
+    // Only nonzero deltas touch the registry, so a heap that never
+    // allocated registers no counter.
+    auto Add = [](const char *Name, uint64_t Delta) {
+      if (Delta != 0)
+        telemetry::MetricsRegistry::global().counter(Name).add(Delta);
+    };
+    uint64_t Refills = Now.TlabRefills - Folded.TlabRefills;
+    Add("runtime.alloc.count", Now.Objects + ReclaimedObjects - Folded.Objects);
+    Add("runtime.alloc.bytes", Now.Clock - Folded.Clock);
+    Add("runtime.tlab.refills", Refills);
+    Add("runtime.tlab.carved_bytes", Refills * BlockBytes);
+  }
+  Folded = Now;
 }
 
 bool Heap::markThreatened(Object *O, AllocClock Boundary,

@@ -32,6 +32,7 @@ Heap::~Heap() {
   DTB_CHECK(Mutators.empty(),
             "destroying a heap with registered mutator contexts; destroy "
             "every MutatorContext first");
+  foldAllocationCounters(/*ReclaimedObjects=*/0);
   // Block-interior objects share their block's storage; only dedicated
   // allocations are released individually.
   for (Object *O : Objects)
@@ -75,7 +76,6 @@ void Heap::fatalOutOfMemory() {
 }
 
 void Heap::recordDegradation(DegradationEvent Event) {
-  DegradationTotal += 1;
   DegradationKindTotals[static_cast<unsigned>(Event.Kind)] += 1;
   // The black box sees every rung (ladder entry, watchdog, pessimization)
   // and the first few trigger a postmortem dump of the retained tail —
@@ -408,11 +408,7 @@ core::ScavengeRecord Heap::collect() {
   LastNote = Note;
   PendingRule = std::move(Rule);
   PendingDecision = Decision;
-  PendingDecisionValid = Request.Decision != nullptr;
-  core::ScavengeRecord Record = collectAtBoundary(Boundary);
-  PendingRule.clear();
-  PendingDecisionValid = false;
-  return Record;
+  return collectAtBoundary(Boundary);
 }
 
 //===----------------------------------------------------------------------===//

@@ -59,6 +59,7 @@
 #include <functional>
 #include <memory>
 #include <mutex>
+#include <numeric>
 #include <optional>
 #include <thread>
 #include <utility>
@@ -455,7 +456,10 @@ public:
   }
   /// Count of all degradation events ever recorded, including any dropped
   /// from the bounded log.
-  uint64_t totalDegradationEvents() const { return DegradationTotal; }
+  uint64_t totalDegradationEvents() const {
+    return std::accumulate(DegradationKindTotals.begin(),
+                           DegradationKindTotals.end(), uint64_t{0});
+  }
   /// Exact per-rung count over the heap's whole lifetime (unlike the
   /// bounded log, never loses old events).
   uint64_t degradationEventsOfKind(DegradationKind Kind) const {
@@ -463,7 +467,6 @@ public:
   }
   void clearDegradationLog() {
     DegradationLog.clear();
-    DegradationTotal = 0;
     DegradationKindTotals.fill(0);
   }
 
@@ -714,7 +717,8 @@ private:
   /// Consults the Allocation fault site: the pressure's cause, or null.
   const char *allocationPressure(uint64_t Gross);
   /// Stamps \p O's birth on the clock, which residency and the trigger
-  /// are read off, and adds to the runtime.alloc.* counters.
+  /// are read off. It counts nothing else: foldAllocationCounters derives
+  /// the allocation counters from the clock at each collection.
   void chargeAllocation(Object *O, uint64_t Gross);
   [[noreturn]] static void fatalOutOfMemory();
   /// Frees (or quarantines+poisons) an object's storage: dedicated storage
@@ -767,9 +771,17 @@ private:
   /// trace); restores barrier completeness.
   void rebuildRememberedSet();
 
-  /// Emits the per-scavenge telemetry trio (span + TB instant + resident
-  /// counter) for \p Record; no-op when telemetry is disabled.
+  /// Emits the scavenge report (core/ScavengeReport.h) for \p Record with
+  /// the runtime's collector details, then its phase spans and resident
+  /// counter. Call only with telemetry enabled.
   void emitScavengeTelemetry(const core::ScavengeRecord &Record);
+  /// Adds to the runtime.alloc.* and runtime.tlab.* counters, when
+  /// telemetry is enabled, what the allocation paths did since the last
+  /// fold: the clock's advance, the objects published since then plus the
+  /// \p ReclaimedObjects the collection just freed, and the TLAB refills.
+  /// Runs world-stopped, at each collection's end and at teardown, so the
+  /// allocation paths write no telemetry; the baseline moves either way.
+  void foldAllocationCounters(uint64_t ReclaimedObjects);
 
   HeapConfig Config;
   std::unique_ptr<core::BoundaryPolicy> Policy;
@@ -778,9 +790,11 @@ private:
   /// numbered in construction order so concurrent heaps get distinct
   /// tracks.
   std::string TelemetryTrack;
-  /// Rule the policy reported for the scavenge collect() is about to run
-  /// ("unspecified" outside collect()); consumed by emitScavengeTelemetry.
+  /// Rule and decision explanation the policy reported for the scavenge
+  /// collect() is about to run, for its scavenge report; completeCollection
+  /// resets both (an empty rule reports as "explicit").
   std::string PendingRule;
+  core::BoundaryDecision PendingDecision;
   /// Rule and degradation note from the most recent collect(), kept for
   /// lastRuleFired()/lastDegradationNote().
   std::string LastRule = "unspecified";
@@ -795,11 +809,13 @@ private:
   /// across collections so lanes do not respawn threads per scavenge.
   std::unique_ptr<ThreadPool> TracePool;
   IncrementalState Inc;
-  /// Decision explanation the policy filled for the scavenge collect() is
-  /// about to run, for its TB instant; valid only when
-  /// PendingDecisionValid (collect() with telemetry enabled).
-  core::BoundaryDecision PendingDecision;
-  bool PendingDecisionValid = false;
+  /// What foldAllocationCounters saw last: the object list's length, the
+  /// clock and the TLAB refills.
+  struct AllocationTally {
+    uint64_t Objects = 0;
+    core::AllocClock Clock = 0;
+    uint64_t TlabRefills = 0;
+  } Folded;
 
   /// The allocation clock is the only counter an allocation advances: a
   /// relaxed fetch_add per object, from any context, claims a disjoint
@@ -888,7 +904,6 @@ private:
   core::ScavengeHistory History;
   CollectionStats LastStats;
   std::deque<DegradationEvent> DegradationLog;
-  uint64_t DegradationTotal = 0;
   std::array<uint64_t, NumDegradationKinds> DegradationKindTotals{};
 };
 

@@ -489,15 +489,6 @@ void MutatorContext::refillTlab(const Heap::TlabBlock *Retiring) {
   if (Retiring)
     S.TlabWastedBytes +=
         static_cast<uint64_t>(Retiring->End - Retiring->Cursor);
-  if (telemetry::enabled()) {
-    static telemetry::Counter &Refills =
-        telemetry::MetricsRegistry::global().counter("runtime.tlab.refills");
-    static telemetry::Counter &Carved =
-        telemetry::MetricsRegistry::global().counter(
-            "runtime.tlab.carved_bytes");
-    Refills.add(1);
-    Carved.add(Heap::BlockBytes);
-  }
 }
 
 //===----------------------------------------------------------------------===//

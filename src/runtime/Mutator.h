@@ -46,7 +46,6 @@
 #include "runtime/Heap.h"
 #include "runtime/Safepoint.h"
 #include "support/FaultInjector.h"
-#include "telemetry/Telemetry.h"
 
 #include <algorithm>
 #include <atomic>
@@ -287,16 +286,6 @@ inline void Heap::chargeAllocation(Object *O, uint64_t Gross) {
   // interleave, and on one thread the clock takes the same values as
   // `Clock += Gross` would.
   O->Birth = Clock.fetch_add(Gross, std::memory_order_relaxed) + Gross;
-  if (telemetry::enabled()) {
-    // Registry references are stable for the process lifetime, so the
-    // lookup cost is paid once; the disabled path is one relaxed load.
-    static telemetry::Counter &AllocCount =
-        telemetry::MetricsRegistry::global().counter("runtime.alloc.count");
-    static telemetry::Counter &AllocBytes =
-        telemetry::MetricsRegistry::global().counter("runtime.alloc.bytes");
-    AllocCount.add(1);
-    AllocBytes.add(Gross);
-  }
 }
 
 inline bool Heap::enforceRemSetBound(const char *Why) {

@@ -2,6 +2,7 @@
 
 #include "sim/Simulator.h"
 
+#include "core/ScavengeReport.h"
 #include "sim/Trigger.h"
 #include "support/Error.h"
 #include "telemetry/Telemetry.h"
@@ -154,48 +155,8 @@ SimulationResult dtb::sim::simulate(const trace::Trace &T,
       namespace tm = dtb::telemetry;
       // The span duration is the exact double added to PauseMillis above,
       // so exported quantiles match the Table 3 pipeline bit for bit.
-      tm::Event Pause;
-      Pause.Phase = tm::EventPhase::Span;
-      Pause.Track = Config.TelemetryTrack;
-      Pause.Name = "scavenge";
-      Pause.ScavengeIndex = Index;
-      Pause.TsClock = Now;
-      Pause.DurMillis = PauseMs;
-      Pause.Args = {
-          tm::arg("tb", Boundary),
-          tm::arg("window", Now - Boundary),
-          tm::arg("traced_bytes", Outcome.TracedBytes),
-          tm::arg("reclaimed_bytes", Outcome.ReclaimedBytes),
-          tm::arg("survived_bytes", Outcome.SurvivedBytes),
-          tm::arg("mem_before_bytes", Outcome.MemBeforeBytes),
-          tm::arg("rule", Rule),
-      };
-      tm::recorder().emit(std::move(Pause));
-
-      tm::Event Tb;
-      Tb.Phase = tm::EventPhase::Instant;
-      Tb.Track = Config.TelemetryTrack;
-      Tb.Name = "tb";
-      Tb.ScavengeIndex = Index;
-      Tb.TsClock = Now;
-      Tb.Args = {tm::arg("tb", Boundary), tm::arg("rule", Rule)};
-      if (Decision.TraceMaxBytes != 0)
-        Tb.Args.push_back(tm::arg("trace_max_bytes", Decision.TraceMaxBytes));
-      if (Decision.MemMaxBytes != 0)
-        Tb.Args.push_back(tm::arg("mem_max_bytes", Decision.MemMaxBytes));
-      if (Decision.CandidateEpoch >= 0)
-        Tb.Args.push_back(tm::arg(
-            "candidate_epoch", static_cast<uint64_t>(Decision.CandidateEpoch)));
-      if (Decision.LiveEstimateBytes != 0)
-        Tb.Args.push_back(
-            tm::arg("live_estimate_bytes", Decision.LiveEstimateBytes));
-      if (Decision.HasPrediction) {
-        Tb.Args.push_back(
-            tm::arg("predicted_traced_bytes", Decision.PredictedTracedBytes));
-        Tb.Args.push_back(
-            tm::arg("predicted_garbage_bytes", Decision.PredictedGarbageBytes));
-      }
-      tm::recorder().emit(std::move(Tb));
+      core::emitScavengeReport(Config.TelemetryTrack, Result.History.last(),
+                               PauseMs, Rule, Decision);
 
       tm::Event Resident;
       Resident.Phase = tm::EventPhase::Counter;

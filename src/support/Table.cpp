@@ -81,19 +81,7 @@ void Table::print(std::FILE *Out) const {
 void Table::printCsv(std::FILE *Out) const {
   auto printCsvRow = [&](const std::vector<std::string> &Cells) {
     for (size_t C = 0; C != Cells.size(); ++C) {
-      const std::string &Cell = Cells[C];
-      bool NeedsQuote = Cell.find_first_of(",\"\n") != std::string::npos;
-      if (NeedsQuote) {
-        std::fputc('"', Out);
-        for (char Ch : Cell) {
-          if (Ch == '"')
-            std::fputc('"', Out);
-          std::fputc(Ch, Out);
-        }
-        std::fputc('"', Out);
-      } else {
-        std::fputs(Cell.c_str(), Out);
-      }
+      std::fputs(csvField(Cells[C]).c_str(), Out);
       std::fputc(C + 1 == Cells.size() ? '\n' : ',', Out);
     }
   };
@@ -101,6 +89,18 @@ void Table::printCsv(std::FILE *Out) const {
   for (const RowEntry &Row : Rows)
     if (!Row.IsSeparator)
       printCsvRow(Row.Cells);
+}
+
+std::string Table::csvField(const std::string &Cell) {
+  if (Cell.find_first_of(",\"\r\n") == std::string::npos)
+    return Cell;
+  std::string Quoted = "\"";
+  for (char Ch : Cell) {
+    if (Ch == '"')
+      Quoted += '"';
+    Quoted += Ch;
+  }
+  return Quoted + '"';
 }
 
 std::string Table::cell(double Value, int Decimals) {

@@ -49,6 +49,10 @@ public:
   /// Number of data rows (separators excluded).
   size_t numRows() const;
 
+  /// Returns \p Cell as one CSV field (RFC 4180): as it is, unless it holds
+  /// a comma, a quote or a line break; then quoted, with quotes doubled.
+  static std::string csvField(const std::string &Cell);
+
   /// Formats a double with \p Decimals fractional digits (helper for cells).
   static std::string cell(double Value, int Decimals = 0);
   static std::string cell(uint64_t Value);

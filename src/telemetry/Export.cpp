@@ -141,7 +141,7 @@ void dtb::telemetry::writeChromeTrace(const std::vector<Event> &Events,
     if (!Options.IncludeWallClock && isWallMetric(M.Name))
       continue;
     if (M.InstrumentKind == MetricSample::Kind::Histogram)
-      continue; // Histograms go to the table/JSON exporters.
+      continue; // Histograms go to the table exporter.
     std::fprintf(Out, "%s\n\"%s\": %s", FirstMetric ? "" : ",",
                  escapeJson(M.Name).c_str(),
                  arg("", M.Value).Value.c_str());
@@ -162,12 +162,10 @@ void dtb::telemetry::writeCsv(const std::vector<Event> &Events,
         Args += ';';
       Args += A.Key + "=" + A.Value;
     }
-    // Commas inside cells would break the row; the writers never emit
-    // them, so quote-free CSV stays simple.
     std::fprintf(Out, "%s,%" PRIu64 ",%c,%s,%" PRIu64 ",%.6g,%s\n",
-                 E.Track.c_str(), E.ScavengeIndex,
-                 static_cast<char>(E.Phase), E.Name.c_str(), E.TsClock,
-                 E.DurMillis, Args.c_str());
+                 Table::csvField(E.Track).c_str(), E.ScavengeIndex,
+                 static_cast<char>(E.Phase), Table::csvField(E.Name).c_str(),
+                 E.TsClock, E.DurMillis, Table::csvField(Args).c_str());
   }
 }
 
@@ -215,10 +213,6 @@ Table dtb::telemetry::buildMetricsTable(const std::vector<MetricSample> &Metrics
       T.addRow({M.Name, "counter", Table::cell(M.Value), "-", "-", "-",
                 "-", "-"});
       break;
-    case MetricSample::Kind::Gauge:
-      T.addRow({M.Name, "gauge", Table::cell(M.Value, 3), "-", "-", "-",
-                "-", "-"});
-      break;
     case MetricSample::Kind::Histogram: {
       double N = static_cast<double>(M.Count);
       T.addRow({M.Name, "histogram", "-", Table::cell(M.Count),
@@ -230,36 +224,4 @@ Table dtb::telemetry::buildMetricsTable(const std::vector<MetricSample> &Metrics
     }
   }
   return T;
-}
-
-void dtb::telemetry::writeMetricsJson(const std::vector<MetricSample> &Metrics,
-                                      const ExportOptions &Options,
-                                      std::FILE *Out) {
-  std::fputs("{\n  \"metrics\": {", Out);
-  bool First = true;
-  for (const MetricSample &M : Metrics) {
-    if (!Options.IncludeWallClock && isWallMetric(M.Name))
-      continue;
-    std::fprintf(Out, "%s\n    \"%s\": ", First ? "" : ",",
-                 escapeJson(M.Name).c_str());
-    First = false;
-    switch (M.InstrumentKind) {
-    case MetricSample::Kind::Counter:
-    case MetricSample::Kind::Gauge:
-      std::fputs(arg("", M.Value).Value.c_str(), Out);
-      break;
-    case MetricSample::Kind::Histogram:
-      std::fprintf(Out,
-                   "{\"count\": %" PRIu64 ", \"sum\": %s, \"min\": %s, "
-                   "\"max\": %s, \"p50\": %s, \"p90\": %s, \"p99\": %s}",
-                   M.Count, arg("", M.Sum).Value.c_str(),
-                   arg("", M.Min).Value.c_str(),
-                   arg("", M.Max).Value.c_str(),
-                   arg("", M.P50).Value.c_str(),
-                   arg("", M.P90).Value.c_str(),
-                   arg("", M.P99).Value.c_str());
-      break;
-    }
-  }
-  std::fputs("\n  }\n}\n", Out);
 }

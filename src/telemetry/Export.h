@@ -52,7 +52,9 @@ void writeChromeTrace(const std::vector<Event> &Events,
                       const ExportOptions &Options, std::FILE *Out);
 
 /// Writes one CSV row per event: track, scavenge index, phase, name, ts,
-/// duration (ms), then "key=value" args joined with ';'.
+/// duration (ms), then "key=value" args joined with ';'. A cell holding a
+/// comma, a quote or a line break is quoted per RFC 4180 (a rendezvous's
+/// arrival order and a watchdog degradation's detail do).
 void writeCsv(const std::vector<Event> &Events, const ExportOptions &Options,
               std::FILE *Out);
 
@@ -62,15 +64,10 @@ void writeCsv(const std::vector<Event> &Events, const ExportOptions &Options,
 Table buildEventSummaryTable(const std::vector<Event> &Events,
                              const ExportOptions &Options);
 
-/// The metrics registry rendered as a table (counters/gauges: value;
-/// histograms: count, mean, p50/p90/p99, max).
+/// The metrics registry rendered as a table (counters: value; histograms:
+/// count, mean, p50/p90, max).
 Table buildMetricsTable(const std::vector<MetricSample> &Metrics,
                         const ExportOptions &Options);
-
-/// Flat JSON object {"metrics": {name: value | {histogram...}}}: a
-/// registry snapshot in machine-readable form.
-void writeMetricsJson(const std::vector<MetricSample> &Metrics,
-                      const ExportOptions &Options, std::FILE *Out);
 
 /// JSON string escaping for the exporters (shared with tests).
 std::string escapeJson(const std::string &Text);

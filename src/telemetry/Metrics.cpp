@@ -73,11 +73,6 @@ Counter &MetricsRegistry::counter(const std::string &Name) {
   return Counters[Name];
 }
 
-Gauge &MetricsRegistry::gauge(const std::string &Name) {
-  std::lock_guard<std::mutex> Lock(Mutex);
-  return Gauges[Name];
-}
-
 LogHistogram &MetricsRegistry::histogram(const std::string &Name,
                                          LogBucketing Bucketing) {
   std::lock_guard<std::mutex> Lock(Mutex);
@@ -87,19 +82,12 @@ LogHistogram &MetricsRegistry::histogram(const std::string &Name,
 std::vector<MetricSample> MetricsRegistry::snapshot() const {
   std::lock_guard<std::mutex> Lock(Mutex);
   std::vector<MetricSample> Samples;
-  Samples.reserve(Counters.size() + Gauges.size() + Histograms.size());
+  Samples.reserve(Counters.size() + Histograms.size());
   for (const auto &[Name, C] : Counters) {
     MetricSample S;
     S.InstrumentKind = MetricSample::Kind::Counter;
     S.Name = Name;
     S.Value = static_cast<double>(C.value());
-    Samples.push_back(std::move(S));
-  }
-  for (const auto &[Name, G] : Gauges) {
-    MetricSample S;
-    S.InstrumentKind = MetricSample::Kind::Gauge;
-    S.Name = Name;
-    S.Value = G.value();
     Samples.push_back(std::move(S));
   }
   for (const auto &[Name, H] : Histograms) {
@@ -115,7 +103,7 @@ std::vector<MetricSample> MetricsRegistry::snapshot() const {
     S.P99 = H.quantile(0.99);
     Samples.push_back(std::move(S));
   }
-  // The three maps are each name-sorted; a final merge-sort by name gives
+  // The two maps are each name-sorted; a final merge-sort by name gives
   // one stable, registration-order-independent listing.
   std::sort(Samples.begin(), Samples.end(),
             [](const MetricSample &A, const MetricSample &B) {
@@ -128,13 +116,11 @@ void MetricsRegistry::reset() {
   std::lock_guard<std::mutex> Lock(Mutex);
   for (auto &Entry : Counters)
     Entry.second.reset();
-  for (auto &Entry : Gauges)
-    Entry.second.reset();
   for (auto &Entry : Histograms)
     Entry.second.reset();
 }
 
 size_t MetricsRegistry::size() const {
   std::lock_guard<std::mutex> Lock(Mutex);
-  return Counters.size() + Gauges.size() + Histograms.size();
+  return Counters.size() + Histograms.size();
 }

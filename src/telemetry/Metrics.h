@@ -5,8 +5,7 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// A process-wide registry of named counters, gauges, and log-bucketed
-/// histograms. Registration (name -> instrument lookup) is mutex-guarded;
+/// A process-wide registry of named counters and log-bucketed histograms. Registration (name -> instrument lookup) is mutex-guarded;
 /// the recording fast path is lock-free (relaxed atomics), so instrumented
 /// code caches the returned reference and updates it from any thread.
 ///
@@ -48,17 +47,6 @@ private:
   std::atomic<uint64_t> Value{0};
 };
 
-/// A last-write-wins instantaneous value.
-class Gauge {
-public:
-  void set(double V) { Value.store(V, std::memory_order_relaxed); }
-  double value() const { return Value.load(std::memory_order_relaxed); }
-  void reset() { Value.store(0.0, std::memory_order_relaxed); }
-
-private:
-  std::atomic<double> Value{0.0};
-};
-
 /// A log-bucketed histogram with atomic buckets: record() is lock-free and
 /// wait-free except for the min/max CAS loops. Quantiles are approximate
 /// with relative error bounded by bucketing().relativeError(); count, sum,
@@ -97,10 +85,10 @@ private:
 
 /// One instrument's state, copied out by MetricsRegistry::snapshot().
 struct MetricSample {
-  enum class Kind { Counter, Gauge, Histogram };
+  enum class Kind { Counter, Histogram };
   Kind InstrumentKind = Kind::Counter;
   std::string Name;
-  /// Counter total or gauge value (Counter/Gauge only).
+  /// Counter total (Counter only).
   double Value = 0.0;
   /// Histogram aggregates (Histogram only).
   uint64_t Count = 0;
@@ -121,7 +109,6 @@ public:
   static MetricsRegistry &global();
 
   Counter &counter(const std::string &Name);
-  Gauge &gauge(const std::string &Name);
   /// \p Bucketing is applied only on first registration of \p Name.
   LogHistogram &histogram(const std::string &Name,
                           LogBucketing Bucketing = LogBucketing());
@@ -137,9 +124,9 @@ public:
 
 private:
   mutable std::mutex Mutex;
-  std::map<std::string, Counter> Counters;       // Node-stable containers:
-  std::map<std::string, Gauge> Gauges;           // references survive
-  std::map<std::string, LogHistogram> Histograms; // later registrations.
+  // Node-stable containers: references survive later registrations.
+  std::map<std::string, Counter> Counters;
+  std::map<std::string, LogHistogram> Histograms;
 };
 
 } // namespace telemetry

@@ -43,8 +43,6 @@ EventArg dtb::telemetry::arg(std::string Key, std::string Value) {
 // EventBuffer
 //===----------------------------------------------------------------------===//
 
-EventSink::~EventSink() = default;
-
 void EventBuffer::emit(Event E) {
   std::lock_guard<std::mutex> Lock(Mutex);
   E.Seq = NextSeq++;

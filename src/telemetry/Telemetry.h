@@ -88,18 +88,11 @@ struct Event {
   uint64_t Seq = 0;
 };
 
-/// Receives emitted events.
-class EventSink {
+/// A thread-safe accumulating buffer: where the recorder puts every event
+/// while telemetry is enabled.
+class EventBuffer {
 public:
-  virtual ~EventSink();
-  virtual void emit(Event E) = 0;
-};
-
-/// A thread-safe accumulating sink; the standard destination when
-/// telemetry is enabled.
-class EventBuffer final : public EventSink {
-public:
-  void emit(Event E) override;
+  void emit(Event E);
 
   /// Copies the events sorted for export: by track, then scavenge index,
   /// then emission order. The result is independent of how concurrently

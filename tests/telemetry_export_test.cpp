@@ -5,8 +5,8 @@
 // The exporters on a small hand-built event stream: the Chrome trace JSON
 // must parse back as well-formed JSON with the trace-event structure
 // Perfetto expects (validated by a minimal recursive-descent parser — no
-// third-party JSON dependency), the CSV and metrics JSON match golden
-// strings, and wall-clock tracks/metrics stay out unless opted in.
+// third-party JSON dependency), the CSV matches golden strings and quotes
+// per RFC 4180, and wall-clock tracks/metrics stay out unless opted in.
 //
 //===----------------------------------------------------------------------===//
 
@@ -283,7 +283,6 @@ std::vector<tel::Event> sampleEvents() {
 std::vector<tel::MetricSample> sampleMetrics() {
   tel::MetricsRegistry Registry;
   Registry.counter("sim.scavenge.count").add(3);
-  Registry.gauge("timing.grid.speedup").set(1.5);
   Registry.counter("wall.ignored").add(9);
   return Registry.snapshot();
 }
@@ -389,7 +388,7 @@ TEST(ChromeTrace, EscapesSpecialCharacters) {
 }
 
 //===----------------------------------------------------------------------===//
-// CSV and metrics JSON goldens
+// CSV
 //===----------------------------------------------------------------------===//
 
 TEST(CsvExport, GoldenOutput) {
@@ -405,35 +404,21 @@ TEST(CsvExport, GoldenOutput) {
             "sim/w/dtbfm,1,X,scavenge,1000,1.5,rule=widen\n");
 }
 
-TEST(MetricsJson, GoldenOutputAndParsesBack) {
+TEST(CsvExport, QuotesCellsHoldingCommasQuotesOrLineBreaks) {
+  // RFC 4180: such a cell is quoted with its quotes doubled, so the row
+  // keeps seven fields; every other cell is written as it is.
+  tel::Event E;
+  E.Phase = tel::EventPhase::Instant;
+  E.Track = "heap#1";
+  E.Name = "degradation";
+  E.Args = {tel::arg("detail", std::string("cost 2 ms, deadline 1 ms")),
+            tel::arg("note", std::string("say \"hi\"\nthen stop"))};
   std::string Text = capture([&](std::FILE *Out) {
-    tel::writeMetricsJson(sampleMetrics(), tel::ExportOptions(), Out);
+    tel::writeCsv({E}, tel::ExportOptions(), Out);
   });
-  EXPECT_EQ(Text, "{\n  \"metrics\": {\n"
-                  "    \"sim.scavenge.count\": 3,\n"
-                  "    \"timing.grid.speedup\": 1.5\n"
-                  "  }\n}\n");
-  Json Doc;
-  ASSERT_TRUE(JsonParser(Text).parse(&Doc));
-  EXPECT_DOUBLE_EQ(Doc.at("metrics").at("timing.grid.speedup").Num, 1.5);
-}
-
-TEST(MetricsJson, HistogramEntryParsesBack) {
-  tel::MetricsRegistry Registry;
-  tel::LogHistogram &H = Registry.histogram("pause_ms");
-  H.record(10.0);
-  H.record(20.0);
-  std::string Text = capture([&](std::FILE *Out) {
-    tel::writeMetricsJson(Registry.snapshot(), tel::ExportOptions(), Out);
-  });
-  Json Doc;
-  ASSERT_TRUE(JsonParser(Text).parse(&Doc)) << Text;
-  const Json &P = Doc.at("metrics").at("pause_ms");
-  EXPECT_DOUBLE_EQ(P.at("count").Num, 2.0);
-  EXPECT_DOUBLE_EQ(P.at("sum").Num, 30.0);
-  EXPECT_DOUBLE_EQ(P.at("min").Num, 10.0);
-  EXPECT_DOUBLE_EQ(P.at("max").Num, 20.0);
-  EXPECT_GT(P.at("p50").Num, 0.0);
+  EXPECT_EQ(Text, "track,scavenge_index,phase,name,ts,dur_ms,args\n"
+                  "heap#1,0,i,degradation,0,0,\"detail=cost 2 ms, deadline "
+                  "1 ms;note=say \"\"hi\"\"\nthen stop\"\n");
 }
 
 //===----------------------------------------------------------------------===//

@@ -5,14 +5,17 @@
 // Telemetry wired through the real pipelines: the experiment grid's event
 // stream is bit-identical across worker-thread counts, the per-scavenge
 // pause spans reproduce the Table 3 quantiles exactly, the managed heap
-// emits scavenge spans, TB instants, and degradation instants, and with
-// the recorder off none of them records anything.
+// emits scavenge spans, TB instants, and degradation instants, its
+// allocation counters fold in at each collection and at teardown, its CSV
+// rows keep their seven fields, and with the recorder off none of them
+// records anything.
 //
 //===----------------------------------------------------------------------===//
 
 #include "telemetry/Export.h"
 #include "telemetry/Telemetry.h"
 
+#include "core/MachineModel.h"
 #include "core/Policies.h"
 #include "report/Experiments.h"
 #include "runtime/Heap.h"
@@ -25,6 +28,7 @@
 
 #include <cstdio>
 #include <string>
+#include <thread>
 #include <vector>
 
 using namespace dtb;
@@ -190,6 +194,216 @@ TEST(TelemetryIntegration, HeapEmitsScavengeSpansAndDegradationInstants) {
     if (M.Name.rfind("runtime.degradation.", 0) == 0)
       DegradationCounted += static_cast<uint64_t>(M.Value);
   EXPECT_EQ(DegradationCounted, Degradations);
+}
+
+/// The global registry's value of counter \p Name (0 if it is not
+/// registered), read without registering it.
+uint64_t counterValue(const std::string &Name) {
+  for (const tel::MetricSample &M : tel::MetricsRegistry::global().snapshot())
+    if (M.Name == Name)
+      return static_cast<uint64_t>(M.Value);
+  return 0;
+}
+
+/// Expects the allocation counters to count \p Allocations objects,
+/// \p Clock bytes and \p Refills TLAB blocks.
+void expectAllocationCounters(uint64_t Allocations, uint64_t Clock,
+                              uint64_t Refills) {
+  EXPECT_EQ(counterValue("runtime.alloc.count"), Allocations);
+  EXPECT_EQ(counterValue("runtime.alloc.bytes"), Clock);
+  EXPECT_EQ(counterValue("runtime.tlab.refills"), Refills);
+  EXPECT_EQ(counterValue("runtime.tlab.carved_bytes"),
+            Refills * Heap::BlockBytes);
+}
+
+TEST(TelemetryIntegration, AllocationCountersFoldAtCollectionsAndTeardown) {
+  // One heap driven directly and through two contexts from this thread.
+  // After a collection the counters hold every allocation so far, and
+  // after teardown every allocation of the run, the ones since the last
+  // collection included.
+  for (CollectorKind Kind : {CollectorKind::MarkSweep, CollectorKind::Copying}) {
+    SCOPED_TRACE(Kind == CollectorKind::MarkSweep ? "mark-sweep" : "copying");
+    tel::recorder().enable();
+    tel::MetricsRegistry::global().reset();
+    uint64_t Allocations = 0, Clock = 0, Refills = 0;
+    {
+      HeapConfig Config;
+      Config.TriggerBytes = 0;
+      Config.Collector = Kind;
+      Heap H(Config);
+      H.setPolicy(core::createPolicy("fixed1", core::PolicyConfig()));
+      MutatorContext A(H), B(H);
+      // Garbage on every path, and a rooted object now and then that a
+      // later round drops.
+      auto Round = [&](int N) {
+        for (int I = 0; I != N; ++I) {
+          H.allocate(0, 32);
+          A.allocate(0, 48);
+          Allocations += 2;
+          if (I % 8 == 0) {
+            B.allocateRooted(1, 8);
+            Allocations += 1;
+          }
+        }
+      };
+      Round(2'000);
+      H.collect();
+      expectAllocationCounters(Allocations, H.now(),
+                               H.mutatorStats().TlabRefills);
+      B.truncateRoots(0);
+      Round(2'000);
+      H.collect();
+      expectAllocationCounters(Allocations, H.now(),
+                               H.mutatorStats().TlabRefills);
+      if (Kind == CollectorKind::MarkSweep) {
+        // An incremental cycle folds when it closes; the objects allocated
+        // between its quanta are counted with it.
+        H.beginIncrementalScavenge(0);
+        Round(500);
+        H.finishIncrementalScavenge();
+        expectAllocationCounters(Allocations, H.now(),
+                                 H.mutatorStats().TlabRefills);
+      }
+      Round(1'000);
+      Clock = H.now();
+      Refills = H.mutatorStats().TlabRefills;
+      ASSERT_GT(Refills, 2u);
+    }
+    expectAllocationCounters(Allocations, Clock, Refills);
+    tel::recorder().disable();
+    tel::recorder().buffer().clear();
+  }
+}
+
+TEST(TelemetryIntegration, AllocationCountersFoldUnderRacingContexts) {
+  // Two contexts on two threads race the trigger; each collection folds
+  // what both published, and teardown the rest.
+  tel::recorder().enable();
+  tel::MetricsRegistry::global().reset();
+  uint64_t Allocations[2] = {0, 0}, Clock = 0, Refills = 0;
+  {
+    HeapConfig Config;
+    Config.TriggerBytes = 16 * 1024;
+    Heap H(Config);
+    H.setPolicy(core::createPolicy("fixed1", core::PolicyConfig()));
+    std::vector<std::thread> Threads;
+    for (int T = 0; T != 2; ++T)
+      Threads.emplace_back([&H, &Allocations, T] {
+        MutatorContext Ctx(H);
+        for (int I = 0; I != 6'000; ++I) {
+          if (I % 64 == 0)
+            Ctx.truncateRoots(0);
+          if (I % 4 == 0)
+            Ctx.allocateRooted(1, 16);
+          else
+            Ctx.allocate(0, 24);
+        }
+        Allocations[T] = Ctx.stats().Allocations;
+      });
+    for (std::thread &Thread : Threads)
+      Thread.join();
+    EXPECT_GT(H.history().size(), 2u);
+    Clock = H.now();
+    Refills = H.mutatorStats().TlabRefills;
+  }
+  expectAllocationCounters(Allocations[0] + Allocations[1], Clock, Refills);
+  tel::recorder().disable();
+  tel::recorder().buffer().clear();
+}
+
+/// Splits RFC 4180 CSV text into rows of fields.
+std::vector<std::vector<std::string>> parseCsv(const std::string &Text) {
+  std::vector<std::vector<std::string>> Rows(1);
+  std::string Field;
+  bool Quoted = false;
+  for (size_t I = 0; I != Text.size(); ++I) {
+    char C = Text[I];
+    if (Quoted) {
+      if (C != '"')
+        Field += C;
+      else if (I + 1 != Text.size() && Text[I + 1] == '"')
+        Field += Text[++I];
+      else
+        Quoted = false;
+    } else if (C == '"') {
+      Quoted = true;
+    } else if (C == ',' || C == '\n') {
+      Rows.back().push_back(std::move(Field));
+      Field.clear();
+      if (C == '\n')
+        Rows.emplace_back();
+    } else {
+      Field += C;
+    }
+  }
+  Rows.pop_back(); // After the last line break.
+  return Rows;
+}
+
+TEST(TelemetryIntegration, CsvRowsHoldingCommasKeepSevenFields) {
+  tel::recorder().enable();
+  {
+    // A two-context stop: its rendezvous instant's arrival order is "1,2".
+    HeapConfig Config;
+    Config.TriggerBytes = 0;
+    Heap H(Config);
+    MutatorContext A(H), B(H);
+    A.allocate(0, 16);
+    B.allocate(0, 16);
+    H.collectAtBoundary(0);
+  }
+  {
+    // A deadline below any quantum's model cost: each watchdog violation's
+    // detail reads "(model cost X ms, deadline Y ms)".
+    HeapConfig Config;
+    Config.TriggerBytes = 0;
+    Config.ScavengeBudgetBytes = 500;
+    Config.QuantumDeadlineMillis =
+        core::MachineModel().pauseMillisForTracedBytes(32);
+    Heap H(Config);
+    HandleScope Scope(H);
+    Object *&Head = Scope.slot(nullptr);
+    for (int I = 0; I != 200; ++I) {
+      Object *N = H.allocate(1, 32);
+      H.writeSlot(N, 0, Head);
+      Head = N;
+    }
+    H.collectAtBoundary(0);
+    ASSERT_GT(H.degradationEventsOfKind(DegradationKind::WatchdogDeadline),
+              0u);
+  }
+  std::vector<tel::Event> Events = tel::recorder().buffer().sorted();
+  char *Data = nullptr;
+  size_t Size = 0;
+  std::FILE *Stream = open_memstream(&Data, &Size);
+  tel::writeCsv(Events, tel::ExportOptions(), Stream);
+  std::fclose(Stream);
+  std::string Text(Data, Size);
+  std::free(Data);
+  tel::recorder().disable();
+  tel::recorder().buffer().clear();
+
+  std::vector<std::vector<std::string>> Rows = parseCsv(Text);
+  ASSERT_EQ(Rows.size(), Events.size() + 1);
+  bool SawArrivals = false, SawWatchdog = false;
+  for (size_t I = 0; I != Rows.size(); ++I) {
+    ASSERT_EQ(Rows[I].size(), 7u) << "row " << I;
+    if (I == 0)
+      continue;
+    const tel::Event &E = Events[I - 1];
+    std::string Args;
+    for (const tel::EventArg &A : E.Args)
+      Args += (Args.empty() ? "" : ";") + A.Key + "=" + A.Value;
+    EXPECT_EQ(Rows[I][0], E.Track);
+    EXPECT_EQ(Rows[I][3], E.Name);
+    EXPECT_EQ(Rows[I][6], Args); // The args cell round-trips.
+    SawArrivals |= E.Name == "safepoint_rendezvous" &&
+                   Args.find("arrival_order=1,2") != std::string::npos;
+    SawWatchdog |= E.Name == "degradation" &&
+                   Args.find(" ms, deadline ") != std::string::npos;
+  }
+  EXPECT_TRUE(SawArrivals);
+  EXPECT_TRUE(SawWatchdog);
 }
 
 /// Every instrument in the global registry, rendered for comparison.
